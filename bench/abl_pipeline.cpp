@@ -44,8 +44,15 @@ int main() {
         sizes.size(), std::vector<double>(switches.size()));
     for (std::size_t ci = 0; ci < switches.size(); ++ci) {
       for (std::size_t si = 0; si < sizes.size(); ++si) {
+        // Staged up to the switch, direct beyond; the shared buffers must
+        // hold the largest staged message.
+        const auto bin = coll::TreeKind::binomial;
         SrmConfig cfg;
-        cfg.bcast_small_max = switches[ci];
+        cfg.decisions.profile = "switch";
+        cfg.decisions.set(coll::CollKind::bcast, 0,
+                          {coll::Algo::staged, false, bin});
+        cfg.decisions.set(coll::CollKind::bcast, switches[ci] + 1,
+                          {coll::Algo::direct, false, bin});
         cfg.smp_buf_bytes = std::max(cfg.smp_buf_bytes, switches[ci]);
         Bench b(Impl::srm, 16, 16, cfg);
         cells[si][ci] = b.time_bcast(sizes[si], iters_for(sizes[si]));

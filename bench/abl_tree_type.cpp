@@ -24,8 +24,14 @@ int main() {
                                            std::vector<double>(kinds.size()));
     for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
       for (std::size_t si = 0; si < sizes.size(); ++si) {
+        // Staged up to the shared buffer, direct beyond (sanitize), and the
+        // reduce pipeline, all over this tree.
         SrmConfig cfg;
-        cfg.internode_tree = kinds[ki];
+        cfg.decisions.profile = coll::tree_kind_name(kinds[ki]);
+        cfg.decisions.set(coll::CollKind::bcast, 0,
+                          {coll::Algo::staged, false, kinds[ki]});
+        cfg.decisions.set(coll::CollKind::reduce, 0,
+                          {coll::Algo::staged, false, kinds[ki]});
         Bench b(Impl::srm, 16, 16, cfg);
         cells[si][ki] = op[0] == 'b'
                             ? b.time_bcast(sizes[si], iters_for(sizes[si]))

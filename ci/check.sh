@@ -28,6 +28,8 @@
 #                    cross-checked for dominance; also runnable alone via
 #                    `ci/check.sh sa`
 #   2. sanitize    — ASan+UBSan build, full ctest
+#   2b. release    — CMAKE_BUILD_TYPE=Release (-O3) build under -Werror,
+#                    full ctest: optimizer-only warnings surface here
 #   3. chk-off     — SRM_CHK=OFF build (checker compiled out), full ctest
 #   4. tidy        — clang-tidy over src/ with warnings-as-errors (enforced
 #                    when the binary exists; green skip on the gcc-only image)
@@ -190,6 +192,7 @@ run_sa
 
 if [[ "$MODE" != "fast" ]]; then
   run_stage sanitize -DSRM_CHK=ON -DSRM_SANITIZE=address,undefined
+  run_stage release -DCMAKE_BUILD_TYPE=Release
   run_stage chk-off -DSRM_CHK=OFF
 
   echo "=== [tidy] clang-tidy over src/ (warnings are errors) ==="

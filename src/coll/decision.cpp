@@ -35,12 +35,6 @@ bool algo_from_name(std::string_view s, Algo& out) {
 
 namespace {
 
-constexpr std::array<CollKind, 8> kAllOps = {
-    CollKind::bcast,     CollKind::reduce,    CollKind::allreduce,
-    CollKind::barrier,   CollKind::scatter,   CollKind::gather,
-    CollKind::allgather, CollKind::reduce_scatter,
-};
-
 bool coll_from_name(std::string_view s, CollKind& out) {
   for (CollKind k : kAllOps) {
     if (s == coll_name(k)) {

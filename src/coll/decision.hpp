@@ -10,12 +10,13 @@
 // mapped (single-copy) flag, and the inter-node tree shape. Backends look up
 // decide(op, bytes) once per call and route accordingly.
 //
-// Sources of a table, in precedence order (core/communicator.cpp):
+// Sources of a table, in precedence order (srm::resolve_table, shared by the
+// Communicator and the analytical model):
 //   1. an explicit SrmConfig::decisions (tests / the tuner forcing a path);
 //   2. the SRM_DECISIONS env var naming a JSON file (a tuner artifact);
-//   3. the builtin table for the machine profile, adjusted by any legacy
-//      SrmConfig crossover knobs that deviate from their defaults (so code
-//      written against the old scattered fields keeps its exact semantics).
+//   3. the builtin table for the machine profile.
+// Every dispatcher passes the looked-up row through srm::sanitize
+// (core/config.hpp), which fits it to the configured buffer sizes.
 //
 // The builtin ibm_sp() table re-expresses the paper's constants verbatim:
 // with a default SrmConfig on the SP profile, dispatch is byte-identical to
@@ -99,7 +100,7 @@ class DecisionTable {
   bool operator==(const DecisionTable&) const = default;
 
  private:
-  std::array<std::vector<Row>, 8> ops_;  // indexed by CollKind
+  std::array<std::vector<Row>, kAllOps.size()> ops_;  // indexed by CollKind
 };
 
 }  // namespace srm::coll

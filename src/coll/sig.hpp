@@ -19,6 +19,7 @@
 //    data, so tests and callers match on structure instead of message text.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -40,6 +41,12 @@ enum class CollKind : std::uint8_t {
   reduce_scatter,
 };
 const char* coll_name(CollKind k);
+/// Every CollKind, in enum order.
+inline constexpr std::array<CollKind, 8> kAllOps = {
+    CollKind::bcast,     CollKind::reduce,    CollKind::allreduce,
+    CollKind::barrier,   CollKind::scatter,   CollKind::gather,
+    CollKind::allgather, CollKind::reduce_scatter,
+};
 
 /// Which transport plane a call's descriptors select. Barrier carries no
 /// payload and is always Plane::none.

@@ -6,13 +6,14 @@
 // against the same machine models the real plane uses — chunked
 // MemorySystem copy/combine charges inside each node, per-message sender
 // overhead plus Network::inject (LogGP + NIC serialization) between nodes,
-// over the internode tree the profile selects. Digests ride the last chunk
-// of each hop, so a correct run produces exactly the block placement and
-// (for movement ops) checksums a real-copy run would.
+// over the internode tree the caller's Decision names. Digests ride the
+// last chunk of each hop, so a correct run produces exactly the block
+// placement and (for movement ops) checksums a real-copy run would.
 //
 // Both backends drive the same runner with their own cost Profile: SRM uses
-// its config's chunking and LAPI-ish per-message overhead; mini-MPI uses its
-// per-call software overheads. Per-node coordination state is allocated
+// its config's chunking and LAPI-ish per-message overhead and passes its
+// Decision for every op; mini-MPI uses its per-call software overheads and
+// the default (binomial) Decision. Per-node coordination state is allocated
 // lazily per (node, op) and freed when the op's last local participant
 // finishes — memory stays O(nodes + active blocks) however large the
 // modeled message is.
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -45,8 +45,6 @@ struct Profile {
   /// Pipeline granularity: chunk size for both network messages and
   /// intra-node staging copies.
   std::size_t chunk = 64 * 1024;
-  /// Tree over nodes for bcast/reduce/barrier phases.
-  TreeKind internode_tree = TreeKind::binomial;
 };
 
 class Transport {
@@ -57,22 +55,23 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   // All 8 ops over symbolic Bufs. Callers (backend v_* hooks) have already
-  // validated the descriptors at the API boundary. bcast/reduce/allreduce
-  // optionally take the backend's coll::Decision so the symbolic plane
-  // replays the same algorithm (and internode tree) the real plane would
-  // pick; without one they fall back to the Profile's defaults.
-  sim::CoTask bcast(machine::TaskCtx& t, Buf buf, int root,
-                    std::optional<Decision> dec = std::nullopt);
+  // validated the descriptors at the API boundary. Every op whose skeleton
+  // walks a tree over nodes takes the backend's coll::Decision, so the
+  // symbolic plane replays the algorithm and internode tree the real plane
+  // would pick; the default Decision is the binomial reduce+bcast family.
+  // scatter/gather move blocks root-to-node directly and take none.
+  sim::CoTask bcast(machine::TaskCtx& t, Buf buf, int root, Decision dec = {});
   sim::CoTask reduce(machine::TaskCtx& t, Buf send, Buf recv, RedOp op,
-                     int root, std::optional<Decision> dec = std::nullopt);
+                     int root, Decision dec = {});
   sim::CoTask allreduce(machine::TaskCtx& t, Buf send, Buf recv, RedOp op,
-                        std::optional<Decision> dec = std::nullopt);
-  sim::CoTask barrier(machine::TaskCtx& t);
+                        Decision dec = {});
+  sim::CoTask barrier(machine::TaskCtx& t, Decision dec = {});
   sim::CoTask scatter(machine::TaskCtx& t, Buf send, Buf recv, int root);
   sim::CoTask gather(machine::TaskCtx& t, Buf send, Buf recv, int root);
-  sim::CoTask allgather(machine::TaskCtx& t, Buf send, Buf recv);
+  sim::CoTask allgather(machine::TaskCtx& t, Buf send, Buf recv,
+                        Decision dec = {});
   sim::CoTask reduce_scatter(machine::TaskCtx& t, Buf send, Buf recv,
-                             RedOp op);
+                             RedOp op, Decision dec = {});
 
  private:
   // Per-(node, op) coordination cell: created lazily by whoever touches it
@@ -117,7 +116,8 @@ class Transport {
   sim::CoTask gather_run(machine::TaskCtx& t, std::uint64_t seq, int root,
                          std::size_t bb, const Payload& send, std::size_t s0,
                          Payload* out, std::size_t o0);
-  sim::CoTask barrier_run(machine::TaskCtx& t, std::uint64_t seq);
+  sim::CoTask barrier_run(machine::TaskCtx& t, std::uint64_t seq,
+                          TreeKind tk);
 
   machine::Cluster* cluster_;
   Profile p_;

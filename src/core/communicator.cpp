@@ -1,6 +1,5 @@
 #include "core/communicator.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "util/align.hpp"
@@ -8,94 +7,6 @@
 namespace srm {
 
 namespace {
-
-/// Rebuild @p op's rows over the union of the existing row boundaries and
-/// @p extra, recomputing each boundary's inherited decision with
-/// @p f(min_bytes, decision&). Boundaries are only added, never removed, so
-/// writing the recomputed set back through set() replaces every old row.
-template <class F>
-void rewrite_rows(coll::DecisionTable& tb, coll::CollKind op,
-                  std::initializer_list<std::size_t> extra, F&& f) {
-  std::vector<std::size_t> bs{0};
-  for (const auto& r : tb.rows(op)) bs.push_back(r.min_bytes);
-  bs.insert(bs.end(), extra);
-  std::sort(bs.begin(), bs.end());
-  bs.erase(std::unique(bs.begin(), bs.end()), bs.end());
-  std::vector<coll::DecisionTable::Row> rows;
-  rows.reserve(bs.size());
-  for (std::size_t b : bs) {
-    coll::DecisionTable::Row r{b, tb.decide(op, b)};
-    f(b, r.d);
-    rows.push_back(r);
-  }
-  for (const auto& r : rows) tb.set(op, r.min_bytes, r.d);
-}
-
-constexpr std::array<coll::CollKind, 8> kAllOps = {
-    coll::CollKind::bcast,     coll::CollKind::reduce,
-    coll::CollKind::allreduce, coll::CollKind::barrier,
-    coll::CollKind::scatter,   coll::CollKind::gather,
-    coll::CollKind::allgather, coll::CollKind::reduce_scatter,
-};
-
-/// Where a Communicator's table actually came from, for the construction
-/// span: which precedence branch won, plus the identifying detail (the
-/// artifact path for env, the profile name for builtin).
-struct ResolvedTable {
-  coll::DecisionTable table;
-  const char* source = "builtin";  // "config" | "env" | "builtin"
-  std::string detail;
-};
-
-/// The table-source precedence of config.hpp: an explicit config table is
-/// used verbatim; an SRM_DECISIONS artifact is used verbatim; otherwise the
-/// builtin profile table (ibm_sp for unknown profiles) with any legacy
-/// crossover knobs that deviate from their defaults re-imposed on top, so
-/// code written against the old scattered fields keeps its exact semantics.
-ResolvedTable resolve_table(const SrmConfig& cfg,
-                            const machine::MachineParams& params) {
-  if (!cfg.decisions.empty()) {
-    return {cfg.decisions, "config", cfg.decisions.profile};
-  }
-  if (const char* env = std::getenv("SRM_DECISIONS");
-      env != nullptr && env[0] != '\0') {
-    return {coll::DecisionTable::load(env), "env", env};
-  }
-  const coll::DecisionTable* bt = coll::DecisionTable::builtin(params.profile);
-  coll::DecisionTable tb = bt != nullptr ? *bt : coll::DecisionTable::ibm_sp();
-  const SrmConfig def{};
-  if (cfg.internode_tree != def.internode_tree) {
-    for (coll::CollKind op : kAllOps) {
-      rewrite_rows(tb, op, {}, [&cfg](std::size_t, coll::Decision& d) {
-        d.internode = cfg.internode_tree;
-      });
-    }
-  }
-  if (cfg.bcast_small_max != def.bcast_small_max) {
-    rewrite_rows(tb, coll::CollKind::bcast, {cfg.bcast_small_max + 1},
-                 [&cfg](std::size_t b, coll::Decision& d) {
-                   d.algo = b <= cfg.bcast_small_max ? coll::Algo::staged
-                                                     : coll::Algo::direct;
-                 });
-  }
-  if (cfg.allreduce_rd_max != def.allreduce_rd_max) {
-    rewrite_rows(tb, coll::CollKind::allreduce, {cfg.allreduce_rd_max + 1},
-                 [&cfg](std::size_t b, coll::Decision& d) {
-                   d.algo = b <= cfg.allreduce_rd_max ? coll::Algo::rd
-                                                      : coll::Algo::pipeline;
-                 });
-  }
-  if (cfg.single_copy_min != def.single_copy_min) {
-    for (coll::CollKind op : kAllOps) {
-      rewrite_rows(tb, op, {cfg.single_copy_min},
-                   [&cfg](std::size_t b, coll::Decision& d) {
-                     d.mapped = b >= cfg.single_copy_min;
-                   });
-    }
-  }
-  return {std::move(tb), "builtin",
-          bt != nullptr ? params.profile : "ibm_sp"};
-}
 
 /// Minimal JSON string escaping for the span args (paths may carry
 /// backslashes on exotic setups; quotes are the only realistic hazard).
@@ -110,6 +21,20 @@ std::string json_str(const std::string& s) {
 }
 
 }  // namespace
+
+ResolvedTable resolve_table(const SrmConfig& cfg, std::string_view profile) {
+  if (!cfg.decisions.empty()) {
+    return {cfg.decisions, "config", cfg.decisions.profile};
+  }
+  if (const char* env = std::getenv("SRM_DECISIONS");
+      env != nullptr && env[0] != '\0') {
+    return {coll::DecisionTable::load(env), "env", env};
+  }
+  if (const coll::DecisionTable* bt = coll::DecisionTable::builtin(profile)) {
+    return {*bt, "builtin", std::string(profile)};
+  }
+  return {coll::DecisionTable::ibm_sp(), "builtin", "ibm_sp"};
+}
 
 Communicator::NodeState::NodeState(sim::Engine& eng,
                                    const machine::MemoryParams& mp,
@@ -211,16 +136,16 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
       ar_buf[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)] =
           seg.buffer(prefix + "/ar_buf" + std::to_string(r) + "_" +
                          std::to_string(p),
-                     cfg.allreduce_rd_max);
+                     cfg.reduce_chunk);
     }
     ar_arrived[static_cast<std::size_t>(r)] =
         counter("ar_arrived" + std::to_string(r));
   }
   for (int p = 0; p < 2; ++p) {
     ar_fold_in[static_cast<std::size_t>(p)] = seg.buffer(
-        prefix + "/ar_fold_in" + std::to_string(p), cfg.allreduce_rd_max);
+        prefix + "/ar_fold_in" + std::to_string(p), cfg.reduce_chunk);
     ar_fold_out[static_cast<std::size_t>(p)] = seg.buffer(
-        prefix + "/ar_fold_out" + std::to_string(p), cfg.allreduce_rd_max);
+        prefix + "/ar_fold_out" + std::to_string(p), cfg.reduce_chunk);
   }
   ar_fold_in_arr = counter("ar_fold_in_arr");
   ar_fold_out_arr = counter("ar_fold_out_arr");
@@ -308,9 +233,8 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
       cfg_(cfg),
       name_(std::move(name)),
       sym_(cluster, coll::sym::Profile{cluster.params().net.o_send,
-                                       cfg.bcast_net_chunk,
-                                       cfg.internode_tree}) {
-  ResolvedTable rt = resolve_table(cfg, cluster.params());
+                                       cfg.bcast_net_chunk}) {
+  ResolvedTable rt = resolve_table(cfg, cluster.params().profile);
   table_ = std::move(rt.table);
   // Record which precedence branch supplied the table. A mis-set
   // SRM_DECISIONS silently changing every dispatch is otherwise invisible
@@ -321,8 +245,12 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
           ",\"detail\":" + json_str(rt.detail) +
           ",\"profile\":" + json_str(table_.profile) + "}");
   cluster.obs().span_end(sid);
-  SRM_CHECK(cfg_.smp_buf_bytes >= cfg_.bcast_small_max);
-  SRM_CHECK(cfg_.reduce_chunk % 8 == 0);
+  // Every protocol moves data in pieces of these sizes; sanitize() keeps
+  // each dispatched message within the buffer it stages through. An rd
+  // allreduce (up to one reduce chunk) publishes its whole result through
+  // one shared broadcast buffer, so that buffer must hold a reduce chunk.
+  SRM_CHECK(cfg_.reduce_chunk > 0 && cfg_.reduce_chunk % 8 == 0);
+  SRM_CHECK(cfg_.smp_buf_bytes >= cfg_.reduce_chunk);
   SRM_CHECK(cfg_.bcast_pipe_chunk > 0 && cfg_.bcast_net_chunk > 0);
   // Only the per-rank scalar bookkeeping is eager; the per-node shared
   // structures and per-link parity vectors wait for the first real op.
@@ -335,7 +263,7 @@ void Communicator::ensure_real_state() {
   // The zoo block of NodeState is only worth its O(nodes) counters and
   // landing slots if some table row can actually route to a zoo algorithm.
   bool zoo = false;
-  for (coll::CollKind op : kAllOps) {
+  for (coll::CollKind op : coll::kAllOps) {
     for (const auto& row : table_.rows(op)) {
       zoo = zoo || row.d.algo == coll::Algo::ring ||
             row.d.algo == coll::Algo::rhalving ||
@@ -369,39 +297,7 @@ void Communicator::ensure_real_state() {
 
 coll::Decision Communicator::decide(coll::CollKind op,
                                     std::size_t op_bytes) const {
-  coll::Decision d = table_.decide(op, op_bytes);
-  switch (op) {
-    case coll::CollKind::bcast:
-      // The staged path cannot move more than one Fig. 3 buffer per step
-      // without the large protocol's pipelining, and the zoo allreduce
-      // algorithms do not broadcast.
-      if (d.algo == coll::Algo::staged && op_bytes > cfg_.smp_buf_bytes) {
-        d.algo = coll::Algo::direct;
-      }
-      if (d.algo != coll::Algo::staged && d.algo != coll::Algo::direct &&
-          d.algo != coll::Algo::scatter_ag) {
-        d.algo = coll::Algo::direct;
-      }
-      break;
-    case coll::CollKind::allreduce:
-      // Recursive doubling exchanges whole vectors through slots sized
-      // allreduce_rd_max and combines them one reduce chunk at a time.
-      if (d.algo == coll::Algo::rd &&
-          op_bytes > std::min(cfg_.allreduce_rd_max, cfg_.reduce_chunk)) {
-        d.algo = coll::Algo::pipeline;
-      }
-      if (d.algo == coll::Algo::staged || d.algo == coll::Algo::direct ||
-          d.algo == coll::Algo::scatter_ag) {
-        d.algo = coll::Algo::pipeline;
-      }
-      break;
-    default:
-      // Every other operation has one implementation; the row's mapped and
-      // internode columns still apply.
-      d.algo = coll::Algo::staged;
-      break;
-  }
-  return d;
+  return sanitize(op, table_.decide(op, op_bytes), op_bytes, cfg_);
 }
 
 std::string Communicator::v_algo(const machine::TaskCtx& t,
@@ -484,7 +380,7 @@ sim::CoTask Communicator::v_barrier(machine::TaskCtx& t) {
     obs::Span span(*t.obs, t.rank, "srm.barrier");
     chk::StageScope stage(t.chk, "srm.barrier");
     rank_state(t).op_seq++;
-    co_await sym_.barrier(t);
+    co_await sym_.barrier(t, decide(coll::CollKind::barrier, 0));
   } else {
     ensure_real_state();
     co_await real_barrier(t);
@@ -527,7 +423,11 @@ sim::CoTask Communicator::v_allgather(machine::TaskCtx& t, coll::Buf send,
     obs::Span span(*t.obs, t.rank, "srm.allgather");
     chk::StageScope stage(t.chk, "srm.allgather");
     sym_used_ = true;
-    co_await sym_.allgather(t, send, recv);
+    // The composite replays its broadcast phase over that phase's row.
+    std::size_t total = send.count * send.esize() *
+                        static_cast<std::size_t>(t.nranks());
+    co_await sym_.allgather(t, send, recv,
+                            decide(coll::CollKind::bcast, total));
   } else {
     if (send.count != 0) ensure_real_state();
     co_await real_allgather(t, send.data, recv.data,
@@ -542,7 +442,11 @@ sim::CoTask Communicator::v_reduce_scatter(machine::TaskCtx& t,
     obs::Span span(*t.obs, t.rank, "srm.reduce_scatter");
     chk::StageScope stage(t.chk, "srm.reduce_scatter");
     sym_used_ = true;
-    co_await sym_.reduce_scatter(t, send, recv, op);
+    // The composite replays its reduce phase over that phase's row.
+    std::size_t total = recv.count * recv.esize() *
+                        static_cast<std::size_t>(t.nranks());
+    co_await sym_.reduce_scatter(t, send, recv, op,
+                                 decide(coll::CollKind::reduce, total));
   } else {
     if (recv.count != 0) ensure_real_state();
     co_await real_reduce_scatter(t, send.data, recv.data, recv.count,
@@ -595,7 +499,7 @@ sim::CoTask Communicator::real_reduce(machine::TaskCtx& t, const void* send,
   if (count == 0) co_return;
   // Interrupt management (§2.3): off during small-message collectives on the
   // tasks that face the network.
-  bool small = count * coll::dtype_size(d) <= cfg_.allreduce_rd_max;
+  bool small = count * coll::dtype_size(d) <= cfg_.reduce_chunk;
   bool leader = t.node() == t.topo->node_of(root) ? t.rank == root
                                                   : t.is_master();
   bool manage = cfg_.manage_interrupts && small && leader && t.nnodes() > 1;

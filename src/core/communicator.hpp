@@ -68,15 +68,12 @@ class Communicator final : public coll::Collectives {
 
   /// The algorithm-selection table this communicator resolved at
   /// construction (explicit config table > SRM_DECISIONS env artifact >
-  /// builtin profile table + legacy crossover-knob overrides).
+  /// builtin profile table).
   const coll::DecisionTable& decisions() const noexcept { return table_; }
 
-  /// Resolved decision for (@p op, @p op_bytes) with the per-op sanitize
-  /// rules applied: a staged bcast that cannot fit the staging buffers
-  /// falls to direct; a recursive-doubling allreduce that cannot fit the
-  /// exchange slots falls to pipeline; algorithms that do not implement an
-  /// op fall to that op's paper path. Deterministic in operation-level
-  /// arguments, so every rank takes the same branch.
+  /// Resolved decision for (@p op, @p op_bytes): the table row passed
+  /// through srm::sanitize (core/config.hpp). Deterministic in
+  /// operation-level arguments, so every rank takes the same branch.
   coll::Decision decide(coll::CollKind op, std::size_t op_bytes) const;
 
  protected:
@@ -380,6 +377,15 @@ class Communicator final : public coll::Collectives {
   /// operation-level arguments, so all ranks of a node take the same branch.
   bool mapped_on(coll::CollKind op, std::size_t op_bytes) const {
     return cfg_.single_copy && decide(op, op_bytes).mapped;
+  }
+
+  /// Embedding of the rootless allreduce algorithms: the node masters lead
+  /// (root 0) over the inter-node tree of the allreduce row for @p bytes.
+  coll::Embedding allreduce_embedding(const machine::TaskCtx& t,
+                                      std::size_t bytes) const {
+    return coll::embed(*t.topo, 0,
+                       decide(coll::CollKind::allreduce, bytes).internode,
+                       cfg_.intranode_tree);
   }
 
   /// Mapped SMP broadcast: the leader exports [src, src+len) and the

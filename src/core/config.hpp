@@ -1,7 +1,11 @@
-// SrmConfig: every protocol switch point and tuning knob from the paper.
+// SrmConfig: the protocol sizes and tuning knobs from the paper, plus the
+// sanitize step that fits a decision-table row to those sizes.
 #pragma once
 
 #include <cstddef>
+#include <limits>
+#include <string>
+#include <string_view>
 
 #include "coll/decision.hpp"
 #include "coll/tree.hpp"
@@ -9,24 +13,18 @@
 namespace srm {
 
 struct SrmConfig {
-  /// Algorithm-selection table. Empty (the default) means the Communicator
-  /// resolves one at construction: the SRM_DECISIONS env var if set (a tuner
-  /// JSON artifact), else the builtin table for the machine profile, with any
-  /// legacy crossover knobs below that deviate from their defaults re-imposed
-  /// as overrides — so code that still sets `bcast_small_max` or
-  /// `allreduce_rd_max` or `single_copy_min` keeps its exact old semantics.
-  /// A non-empty table here wins over everything (tests / the tuner forcing
-  /// one candidate path).
+  /// Algorithm-selection table: every algorithm, mapped flag and inter-node
+  /// tree a Communicator dispatches comes from here. Empty (the default)
+  /// means the Communicator resolves one at construction: the SRM_DECISIONS
+  /// env var if set (a tuner JSON artifact), else the builtin table for the
+  /// machine profile. A non-empty table here wins over both (tests, the
+  /// tuner and the ablations forcing a path).
   coll::DecisionTable decisions;
   /// Size of each of the two shared-memory broadcast buffers A/B (Fig. 3).
-  /// Must hold the largest single-shot small-protocol message.
+  /// A staged broadcast larger than one buffer is dispatched to the direct
+  /// protocol instead (sanitize below). Must hold one reduce_chunk: the rd
+  /// allreduce publishes its whole result through one buffer.
   std::size_t smp_buf_bytes = 64 * 1024;
-
-  /// Broadcast protocol switch (§2.4): messages up to this size flow through
-  /// the shared buffers; larger ones use the zero-intermediate-copy protocol.
-  /// Deprecated in favor of `decisions` — a non-default value is honored as
-  /// an override of the resolved table's bcast rows.
-  std::size_t bcast_small_max = 64 * 1024;
 
   /// Within the small protocol, messages in (pipe_min, pipe_max] are split
   /// into pipe_chunk pieces and pipelined over the two buffers (§2.4:
@@ -40,35 +38,22 @@ struct SrmConfig {
   std::size_t bcast_net_chunk = 64 * 1024;
 
   /// Reduce pipeline chunk (intra-node slots and inter-node landing zones).
+  /// It also sizes the recursive-doubling exchange slots, so it caps the rd
+  /// allreduce (sanitize below), and bounds the small-reduce band in which
+  /// interrupts are managed (§2.3).
   std::size_t reduce_chunk = 16 * 1024;
 
-  /// Allreduce: recursive doubling between node leaders up to this size;
-  /// pipelined reduce+broadcast beyond it (§2.4, Fig. 5). Deprecated in
-  /// favor of `decisions` — a non-default value overrides the allreduce
-  /// rows (it also still sizes the ar_buf exchange slots and the small-op
-  /// interrupt-management band).
-  std::size_t allreduce_rd_max = 16 * 1024;
-
-  /// Inter-node tree (paper: binomial performed best on the SP). Deprecated
-  /// in favor of `decisions` — a non-default value overrides every row's
-  /// internode column.
-  coll::TreeKind internode_tree = coll::TreeKind::binomial;
   /// Intra-node reduce tree.
   coll::TreeKind intranode_tree = coll::TreeKind::binomial;
 
-  /// Single-copy cross-mapped intra-node protocols (shm::Mapping): operations
-  /// moving at least single_copy_min bytes export user-buffer windows and
-  /// copy/combine directly across address spaces over the topology tree
-  /// (machine::TopologyParams), skipping the staged Fig. 2/3 buffers. Below
-  /// the crossover the staged path still wins (publish/attach costs dominate
-  /// tiny messages), so both switches matter. Off by default: the
-  /// paper-faithful 2-copy path is the baseline and stays ablatable.
-  /// `single_copy` is the master enable: the mapped column of the decision
-  /// table only takes effect when it is set. `single_copy_min` is deprecated
-  /// in favor of `decisions` — a non-default value overrides every row's
-  /// mapped column with (bytes >= single_copy_min).
+  /// Single-copy cross-mapped intra-node protocols (shm::Mapping): rows of
+  /// the decision table with the mapped column set export user-buffer
+  /// windows and copy/combine directly across address spaces over the
+  /// topology tree (machine::TopologyParams), skipping the staged Fig. 2/3
+  /// buffers. Off by default: the paper-faithful 2-copy path is the baseline
+  /// and stays ablatable, and the mapped column only takes effect when this
+  /// master enable is set.
   bool single_copy = false;
-  std::size_t single_copy_min = 16 * 1024;
 
   /// Ablation: use a single shared buffer instead of the A/B pair
   /// (disables the two-stage pipeline of Fig. 3).
@@ -82,5 +67,63 @@ struct SrmConfig {
   /// on exit (§2.3). Turning this off leaves interrupts always enabled.
   bool manage_interrupts = true;
 };
+
+/// A resolved table plus where it came from: which precedence branch won
+/// ("config" | "env" | "builtin") and its identifying detail (the artifact
+/// path for env, the profile name otherwise).
+struct ResolvedTable {
+  coll::DecisionTable table;
+  const char* source = "builtin";
+  std::string detail;
+};
+
+/// The one table-source precedence, shared by the Communicator and the
+/// analytical model: an explicit config table is used verbatim; an
+/// SRM_DECISIONS artifact is used verbatim; otherwise the builtin table for
+/// @p profile (ibm_sp for unknown profiles). Defined in
+/// core/communicator.cpp.
+ResolvedTable resolve_table(const SrmConfig& cfg, std::string_view profile);
+
+/// Largest byte count at which @p algo can run @p op under @p cfg: a staged
+/// broadcast moves at most one Fig. 3 buffer per step, and recursive
+/// doubling exchanges whole vectors through slots of one reduce chunk.
+/// Every other algorithm runs at any size.
+inline std::size_t feasible_max(coll::CollKind op, coll::Algo algo,
+                                const SrmConfig& cfg) {
+  if (op == coll::CollKind::bcast && algo == coll::Algo::staged) {
+    return cfg.smp_buf_bytes;
+  }
+  if (op == coll::CollKind::allreduce && algo == coll::Algo::rd) {
+    return cfg.reduce_chunk;
+  }
+  return std::numeric_limits<std::size_t>::max();
+}
+
+/// The sanitize step every dispatcher applies to a table row at @p bytes:
+/// an algorithm the op has no implementation of, or one past its
+/// feasible_max, falls back to the op's always-feasible protocol (direct
+/// bcast, pipelined allreduce). Every other op has one implementation; its
+/// row's mapped and internode columns still apply.
+inline coll::Decision sanitize(coll::CollKind op, coll::Decision d,
+                               std::size_t bytes, const SrmConfig& cfg) {
+  using coll::Algo;
+  bool runs = bytes <= feasible_max(op, d.algo, cfg);
+  switch (op) {
+    case coll::CollKind::bcast:
+      runs = runs && (d.algo == Algo::staged || d.algo == Algo::direct ||
+                      d.algo == Algo::scatter_ag);
+      if (!runs) d.algo = Algo::direct;
+      break;
+    case coll::CollKind::allreduce:
+      runs = runs && (d.algo == Algo::rd || d.algo == Algo::pipeline ||
+                      d.algo == Algo::ring || d.algo == Algo::rhalving);
+      if (!runs) d.algo = Algo::pipeline;
+      break;
+    default:
+      d.algo = Algo::staged;
+      break;
+  }
+  return d;
+}
 
 }  // namespace srm

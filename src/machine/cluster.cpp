@@ -3,6 +3,8 @@
 #include <cstring>
 #include <string>
 
+#include "util/format.hpp"
+
 namespace srm::machine {
 
 sim::CoTask TaskCtx::copy(void* dst, const void* src, std::size_t bytes) const {
@@ -23,7 +25,8 @@ Cluster::Cluster(ClusterConfig cfg)
   nodes_.reserve(static_cast<std::size_t>(cfg.nodes));
   for (int n = 0; n < cfg.nodes; ++n) {
     nodes_.push_back(std::make_unique<Node>(n, eng_, cfg.params.mem, obs_));
-    nodes_.back()->seg.set_checker(&chk_, "n" + std::to_string(n) + ":");
+    nodes_.back()->seg.set_checker(&chk_,
+                                   util::cat("n", std::to_string(n), ":"));
   }
   ctxs_.resize(static_cast<std::size_t>(topo_.nranks()));
   for (int r = 0; r < topo_.nranks(); ++r) {

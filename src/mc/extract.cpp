@@ -4,6 +4,8 @@
 #include <set>
 #include <utility>
 
+#include "util/format.hpp"
+
 namespace srm::mc {
 namespace {
 
@@ -39,12 +41,12 @@ Program skeleton_from_trace(const std::vector<TraceEvent>& trace, int nactors,
                             const std::string& name) {
   Program p;
   p.name = name;
-  for (int a = 0; a < nactors; ++a) p.thread("a" + std::to_string(a));
   auto actor_thread = [&p](int a) {
-    return p.thread("a" + std::to_string(a));
+    return p.thread(util::cat("a", std::to_string(a)));
   };
+  for (int a = 0; a < nactors; ++a) actor_thread(a);
   auto nic_thread = [&p](int origin) {
-    return p.thread("nic" + std::to_string(origin));
+    return p.thread(util::cat("nic", std::to_string(origin)));
   };
 
   // Pass 1: which threads consume each message. A put's counter bump and
@@ -67,8 +69,8 @@ Program skeleton_from_trace(const std::vector<TraceEvent>& trace, int nactors,
     if (!seen) cs.push_back(tid);
   }
   auto chan_of = [&p](std::uint64_t msg, int tid) {
-    return p.chan("m" + std::to_string(msg) + ":" +
-                  p.threads[static_cast<std::size_t>(tid)].name);
+    return p.chan(util::cat("m", std::to_string(msg), ":",
+                            p.threads[static_cast<std::size_t>(tid)].name));
   };
 
   // Pass 2: emit ops in trace order; await thresholds snapshot the release

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace srm::mc {
 namespace {
@@ -24,11 +25,11 @@ struct Builder {
   std::string id(const std::string& s) const { return x + s; }
   static std::string num(int v) { return std::to_string(v); }
 
-  int rk(int n, int l) { return p.thread("r" + num(n) + "." + num(l)); }
-  int nic(int n) { return p.thread("nic" + num(n)); }
+  int rk(int n, int l) { return p.thread(util::cat("r", num(n), ".", num(l))); }
+  int nic(int n) { return p.thread(util::cat("nic", num(n))); }
   /// The origin-side adapter engine of node n: re-reads a put's source
   /// buffer, bumps the origin counter, then forwards the put on the wire.
-  int adp(int n) { return p.thread("adp" + num(n)); }
+  int adp(int n) { return p.thread(util::cat("adp", num(n))); }
 
   int ready(int n, int s, int l) {
     return p.var(id("ready" + num(n) + ".s" + num(s) + "[" + num(l) + "]"));

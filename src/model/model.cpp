@@ -35,6 +35,16 @@ int ilog2_floor(int n) {
   return n <= 1 ? 0 : util::log2_floor(static_cast<unsigned>(n));
 }
 
+/// The algorithm dispatched for @p op at @p bytes: the table the simulator
+/// resolves for these Inputs (srm::resolve_table) through srm::sanitize,
+/// exactly as Communicator::decide does. Algorithms these formulas have no
+/// term for are priced as the paper protocol of the op (direct bcast,
+/// pipelined allreduce).
+coll::Algo dispatched(const Inputs& in, coll::CollKind op, std::size_t bytes) {
+  coll::DecisionTable t = resolve_table(in.cfg, in.params.profile).table;
+  return sanitize(op, t.decide(op, bytes), bytes, in.cfg).algo;
+}
+
 /// Broadcast chunk count and chunk size under the small protocol.
 void small_chunks(const SrmConfig& c, std::size_t bytes, std::size_t& chunk,
                   std::size_t& n) {
@@ -89,7 +99,7 @@ double bcast_us(const Inputs& in, std::size_t bytes) {
   int depth = ilog2_floor(n);
   double issue = us(in.params.lapi.call_overhead + net.o_send + net.gap);
 
-  if (bytes <= in.cfg.bcast_small_max) {
+  if (dispatched(in, coll::CollKind::bcast, bytes) == coll::Algo::staged) {
     std::size_t chunk, nchunks;
     small_chunks(in.cfg, bytes, chunk, nchunks);
     double ser = static_cast<double>(chunk) / net.bytes_per_sec * 1e6;
@@ -138,7 +148,7 @@ double reduce_us(const Inputs& in, std::size_t bytes) {
 
 double allreduce_us(const Inputs& in, std::size_t bytes) {
   int n = in.nodes;
-  if (bytes <= in.cfg.allreduce_rd_max) {
+  if (dispatched(in, coll::CollKind::allreduce, bytes) == coll::Algo::rd) {
     int rounds = ilog2_ceil(n);
     double exchange =
         static_cast<double>(rounds) *

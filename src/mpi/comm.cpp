@@ -585,7 +585,7 @@ World::World(machine::Cluster& cluster, const machine::MpiParams& profile,
       // pipelines at the same default granularity the SRM plane uses.
       sym_(cluster, coll::sym::Profile{
                         profile.call_overhead + profile.layer_overhead,
-                        64 * 1024, coll::TreeKind::binomial}) {
+                        64 * 1024}) {
   // Comms materialize lazily via comm() — a symbolic mega-scale World must
   // not pay per-rank point-to-point state for ranks that never message.
   comms_.resize(static_cast<std::size_t>(cluster.topology().nranks()));

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 
 #include "mc/protocols.hpp"
+#include "util/format.hpp"
 
 namespace srm::sa {
 namespace {
@@ -95,7 +95,7 @@ mc::Program direct_bcast(int tasks, int chunks) {
     p.write(leader, bb, 0, W);
     for (int r : ready) p.set(leader, r, 1);
     for (int l = 1; l < tasks; ++l) {
-      int t = p.thread("r" + num(n) + "." + num(l));
+      int t = p.thread(util::cat("r", num(n), ".", num(l)));
       p.await_eq(t, ready[static_cast<std::size_t>(l - 1)], 1);
       p.read(t, bb, 0, W);
       p.set(t, ready[static_cast<std::size_t>(l - 1)], 0);
@@ -163,35 +163,6 @@ std::vector<Decision> algo_menu(CollKind op) {
       // mapped column is advisory there (no single-copy variant).
       return {d(Algo::staged, false), d(Algo::staged, true)};
   }
-}
-
-Decision sanitize(CollKind op, Decision d, std::size_t bytes,
-                  const SrmConfig& cfg) {
-  switch (op) {
-    case CollKind::bcast:
-      if (d.algo == Algo::staged && bytes > cfg.smp_buf_bytes) {
-        d.algo = Algo::direct;
-      }
-      if (d.algo != Algo::staged && d.algo != Algo::direct &&
-          d.algo != Algo::scatter_ag) {
-        d.algo = Algo::direct;
-      }
-      break;
-    case CollKind::allreduce:
-      if (d.algo == Algo::rd &&
-          bytes > std::min(cfg.allreduce_rd_max, cfg.reduce_chunk)) {
-        d.algo = Algo::pipeline;
-      }
-      if (d.algo == Algo::staged || d.algo == Algo::direct ||
-          d.algo == Algo::scatter_ag) {
-        d.algo = Algo::pipeline;
-      }
-      break;
-    default:
-      d.algo = Algo::staged;
-      break;
-  }
-  return d;
 }
 
 AlgoCost algo_cost(CollKind op, Decision d, std::size_t bytes,
@@ -343,19 +314,6 @@ double scale_extra(CollKind op, Algo algo, const AlgoCost& c, int chunks,
 }
 
 
-/// Feasibility cap of a candidate: the largest byte count the sanitize
-/// step still dispatches it at.
-std::size_t feas_cap(CollKind op, const Decision& d,
-                     const SrmConfig& cfg) {
-  if (op == CollKind::bcast && d.algo == Algo::staged) {
-    return cfg.smp_buf_bytes;
-  }
-  if (op == CollKind::allreduce && d.algo == Algo::rd) {
-    return std::min(cfg.allreduce_rd_max, cfg.reduce_chunk);
-  }
-  return std::numeric_limits<std::size_t>::max();
-}
-
 bool best_at(CollKind op, std::size_t bytes, const SrmConfig& cfg,
              const machine::MachineParams& mp, Decision& best,
              double& best_ns) {
@@ -391,7 +349,7 @@ std::vector<Crossover> crossovers(CollKind op, const SrmConfig& cfg,
       x.op = op;
       x.from = prev;
       x.to = cur;
-      std::size_t cap = feas_cap(op, prev, cfg);
+      std::size_t cap = feasible_max(op, prev.algo, cfg);
       if (cap >= prev_b && cap < b) {
         x.bytes = cap;
         x.feasibility = true;
@@ -423,8 +381,7 @@ DominanceReport check_table(const coll::DecisionTable& t,
                             const SrmConfig& cfg,
                             const machine::MachineParams& mp) {
   DominanceReport rep;
-  for (int k = 0; k < 8; ++k) {
-    auto op = static_cast<CollKind>(k);
+  for (CollKind op : coll::kAllOps) {
     for (const auto& row : t.rows(op)) {
       std::size_t bytes = std::max<std::size_t>(row.min_bytes, 64);
       Decision chosen = sanitize(op, row.d, bytes, cfg);

@@ -35,23 +35,29 @@ void Engine::spawn(CoTask task) {
 
 void Engine::add_blocked_source(BlockedInfoSource* src) {
   SRM_CHECK(src != nullptr);
-  std::uint64_t id = next_source_id_++;
-  blocked_sources_.emplace(id, src);
-  blocked_source_ids_.emplace(src, id);
+  SRM_CHECK(src->prev_ == nullptr && sources_head_ != src);  // not yet linked
+  src->prev_ = sources_tail_;
+  src->next_ = nullptr;
+  (sources_tail_ != nullptr ? sources_tail_->next_ : sources_head_) = src;
+  sources_tail_ = src;
 }
 
 void Engine::remove_blocked_source(BlockedInfoSource* src) {
-  auto it = blocked_source_ids_.find(src);
-  if (it == blocked_source_ids_.end()) return;
-  blocked_sources_.erase(it->second);
-  blocked_source_ids_.erase(it);
+  if (src->prev_ == nullptr && sources_head_ != src) return;  // not linked
+  (src->prev_ != nullptr ? src->prev_->next_ : sources_head_) = src->next_;
+  (src->next_ != nullptr ? src->next_->prev_ : sources_tail_) = src->prev_;
+  src->prev_ = nullptr;
+  src->next_ = nullptr;
 }
 
 std::string Engine::describe_deadlock() const {
   std::ostringstream os;
   os << "simulation deadlock: event queue empty but " << roots_.size()
      << " process(es) still suspended at t=" << to_us(now_) << "us";
-  for (const auto& [id, src] : blocked_sources_) src->describe_blocked(os);
+  for (const BlockedInfoSource* src = sources_head_; src != nullptr;
+       src = src->next_) {
+    src->describe_blocked(os);
+  }
   return os.str();
 }
 

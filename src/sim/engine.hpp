@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -38,13 +37,23 @@
 namespace srm::sim {
 
 /// A component that can describe coroutines currently blocked on it.
-/// Consulted (in registration order) when the engine detects deadlock.
+/// Consulted (in registration order) when the engine detects deadlock. The
+/// engine threads registered sources onto an intrusive list through the
+/// links below, so registering and unregistering never allocate.
 class BlockedInfoSource {
  public:
+  BlockedInfoSource() = default;
+  BlockedInfoSource(const BlockedInfoSource&) = delete;
+  BlockedInfoSource& operator=(const BlockedInfoSource&) = delete;
   virtual ~BlockedInfoSource() = default;
   /// Append a description of currently blocked waiters; print nothing when
   /// nobody is blocked here.
   virtual void describe_blocked(std::ostream& os) const = 0;
+
+ private:
+  friend class Engine;
+  BlockedInfoSource* prev_ = nullptr;
+  BlockedInfoSource* next_ = nullptr;
 };
 
 /// Ordering policy for events scheduled at the same virtual time.
@@ -150,12 +159,11 @@ class Engine {
   CalendarQueue<Ev, EvOrder> queue_;
   std::unordered_set<EventId> cancelled_;
 
-  // Blocked-info sources, reported in registration order. Declared before
-  // roots_ so coroutine frames destroyed with the engine can still
+  // Blocked-info sources, an intrusive list in registration order. Declared
+  // before roots_ so coroutine frames destroyed with the engine can still
   // unregister their wait-points.
-  std::uint64_t next_source_id_ = 1;
-  std::map<std::uint64_t, BlockedInfoSource*> blocked_sources_;
-  std::unordered_map<BlockedInfoSource*, std::uint64_t> blocked_source_ids_;
+  BlockedInfoSource* sources_head_ = nullptr;
+  BlockedInfoSource* sources_tail_ = nullptr;
 
   std::uint64_t next_root_ = 1;
   std::unordered_map<std::uint64_t, CoTask> roots_;

@@ -1,4 +1,4 @@
-// Small text-formatting helpers for benchmark tables and logs.
+// Small text-formatting helpers for names, benchmark tables and logs.
 #pragma once
 
 #include <cstdint>
@@ -7,6 +7,17 @@
 #include <string>
 
 namespace srm::util {
+
+/// Concatenate @p parts (strings, C strings, chars) left to right. Names
+/// built as `"lit" + std::to_string(n)` prepend into the temporary, which
+/// GCC 12 at -O3 misreports as an overlapping memcpy (-Wrestrict); appending
+/// into one buffer does not.
+template <class... Ts>
+std::string cat(const Ts&... parts) {
+  std::string s;
+  ((s += parts), ...);
+  return s;
+}
 
 /// Render a byte count like the paper's axes: "8", "1K", "64K", "8M".
 inline std::string human_bytes(std::uint64_t n) {

@@ -174,7 +174,11 @@ TEST_F(CopyCounts, PerNodeAttribution) {
 SrmConfig mapped_cfg() {
   SrmConfig cfg;
   cfg.single_copy = true;
-  cfg.single_copy_min = 1;
+  cfg.decisions.profile = "mapped";
+  for (auto op : {coll::CollKind::bcast, coll::CollKind::reduce}) {
+    cfg.decisions.set(op, 0,
+                      {coll::Algo::staged, true, coll::TreeKind::binomial});
+  }
   return cfg;
 }
 

@@ -1,7 +1,7 @@
 // coll::DecisionTable: banded lookup semantics, JSON/file round-trips,
 // malformed-input rejection, builtin tables, and the Communicator's
 // table-resolution precedence (explicit config > SRM_DECISIONS artifact >
-// builtin profile + legacy crossover-knob overrides).
+// builtin profile) and the sanitize step applied to every lookup.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -237,8 +237,6 @@ TEST(Resolution, DefaultConfigResolvesProfileBuiltin) {
 TEST(Resolution, ExplicitConfigTableWinsVerbatim) {
   SrmConfig cfg;
   cfg.decisions = sample_table();
-  // Legacy knobs would rewrite rows — an explicit table must be verbatim.
-  cfg.allreduce_rd_max = 1024;
   Fixture f(2, 2, cfg);
   EXPECT_EQ(f.comm.decisions(), sample_table());
 }
@@ -325,44 +323,6 @@ TEST(Resolution, ConstructionSpanRecordsTableSource) {
   }
 }
 
-TEST(Resolution, LegacyKnobsOverrideBuiltinRows) {
-  // allreduce_rd_max moves the rd/pipeline crossover.
-  SrmConfig cfg;
-  cfg.allreduce_rd_max = 4096;
-  Fixture f(2, 2, cfg);
-  EXPECT_EQ(f.comm.decisions().decide(CollKind::allreduce, 4096).algo,
-            Algo::rd);
-  EXPECT_EQ(f.comm.decisions().decide(CollKind::allreduce, 4097).algo,
-            Algo::pipeline);
-
-  // bcast_small_max moves the staged/direct protocol switch. The shared
-  // buffer must hold the largest small-protocol message.
-  SrmConfig cfg2;
-  cfg2.bcast_small_max = 32 * 1024;
-  Fixture g(2, 2, cfg2);
-  EXPECT_EQ(g.comm.decisions().decide(CollKind::bcast, 32 * 1024).algo,
-            Algo::staged);
-  EXPECT_EQ(g.comm.decisions().decide(CollKind::bcast, 32 * 1024 + 1).algo,
-            Algo::direct);
-
-  // single_copy_min rewrites every op's mapped column.
-  SrmConfig cfg3;
-  cfg3.single_copy = true;
-  cfg3.single_copy_min = 1;
-  Fixture h(2, 2, cfg3);
-  EXPECT_TRUE(h.comm.decisions().decide(CollKind::bcast, 1).mapped);
-  EXPECT_TRUE(h.comm.decisions().decide(CollKind::reduce, 64).mapped);
-  EXPECT_FALSE(h.comm.decisions().decide(CollKind::bcast, 0).mapped);
-
-  // internode_tree rewrites every row's tree column.
-  SrmConfig cfg4;
-  cfg4.internode_tree = TreeKind::binary;
-  Fixture i(2, 2, cfg4);
-  EXPECT_EQ(
-      i.comm.decisions().decide(CollKind::allreduce, 1 << 20).internode,
-      TreeKind::binary);
-}
-
 TEST(Resolution, SanitizerKeepsImpossibleRowsOffTheDispatch) {
   // A zoo algorithm on an op that has no such implementation must degrade
   // to a working path, never crash dispatch.
@@ -385,6 +345,16 @@ TEST(Resolution, SanitizerKeepsImpossibleRowsOffTheDispatch) {
                      {Algo::staged, false, TreeKind::binomial});
   Fixture g(2, 2, cfg2);
   EXPECT_EQ(g.comm.decide(CollKind::bcast, 1 << 20).algo, Algo::direct);
+  // The caps follow the configured sizes: staged bcast up to the shared
+  // buffer, rd up to one exchange slot (the reduce chunk).
+  SrmConfig cfg3;
+  cfg3.smp_buf_bytes = 8192;
+  cfg3.reduce_chunk = 4096;
+  Fixture h(2, 2, cfg3);
+  EXPECT_EQ(h.comm.decide(CollKind::bcast, 8192).algo, Algo::staged);
+  EXPECT_EQ(h.comm.decide(CollKind::bcast, 8193).algo, Algo::direct);
+  EXPECT_EQ(h.comm.decide(CollKind::allreduce, 4096).algo, Algo::rd);
+  EXPECT_EQ(h.comm.decide(CollKind::allreduce, 4097).algo, Algo::pipeline);
 }
 
 }  // namespace

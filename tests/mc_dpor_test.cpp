@@ -7,6 +7,7 @@
 #include "mc/ir.hpp"
 #include "mc/mc.hpp"
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace srm::mc {
 namespace {
@@ -243,7 +244,7 @@ TEST(McCore, SleepSetsCutRedundantTraces) {
   int f = p.var("f");
   int g = p.var("g");
   for (int i = 0; i < 3; ++i) {
-    int t = p.thread("t" + std::to_string(i));
+    int t = p.thread(util::cat("t", std::to_string(i)));
     p.set(t, i % 2 == 0 ? f : g, static_cast<std::uint64_t>(i));
     p.set(t, i % 2 == 0 ? g : f, static_cast<std::uint64_t>(i));
   }
@@ -264,7 +265,7 @@ TEST(McCore, CommutingAddsDoNotBranch) {
   int c = p.var("c");
   int bb = p.buf("bb");
   for (int i = 0; i < 4; ++i) {
-    int t = p.thread("t" + std::to_string(i));
+    int t = p.thread(util::cat("t", std::to_string(i)));
     p.write(t, bb, static_cast<std::uint64_t>(i),
             static_cast<std::uint64_t>(i) + 1);
     p.add(t, c, 1);
@@ -294,7 +295,7 @@ TEST(McCore, BudgetCapsTheSearch) {
   p.name = "big";
   int f = p.var("f");
   for (int i = 0; i < 6; ++i) {
-    int t = p.thread("t" + std::to_string(i));
+    int t = p.thread(util::cat("t", std::to_string(i)));
     for (int k = 0; k < 4; ++k) p.add(t, f, 1);
   }
   Options o = naive_opts();

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mpi/comm.hpp"
+#include "util/format.hpp"
 
 namespace srm::minimpi {
 namespace {
@@ -129,8 +130,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{2, 8}, std::tuple{4, 4}, std::tuple{3, 5},
                       std::tuple{4, 16}, std::tuple{5, 3}),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "x" +
-             std::to_string(std::get<1>(info.param));
+      return util::cat("n", std::to_string(std::get<0>(info.param)), "x",
+                       std::to_string(std::get<1>(info.param)));
     });
 
 TEST(MpiColl, LargeMessageBcastCorrect) {

@@ -203,9 +203,17 @@ TEST(ShmMapping, RetractHandshakeOrdersOwnerReuse) {
 // --- end-to-end through the mapped collectives -----------------------------
 
 SrmConfig mapped_cfg() {
+  // Every size takes the window path; allreduce keeps the paper's
+  // recursive doubling up to one reduce chunk and reduce+bcast beyond.
   SrmConfig cfg;
   cfg.single_copy = true;
-  cfg.single_copy_min = 1;  // every size takes the window path
+  cfg.decisions.profile = "mapped";
+  const auto bin = coll::TreeKind::binomial;
+  for (auto op : {coll::CollKind::bcast, coll::CollKind::reduce,
+                  coll::CollKind::scatter, coll::CollKind::gather}) {
+    cfg.decisions.set(op, 0, {coll::Algo::staged, true, bin});
+  }
+  cfg.decisions.set(coll::CollKind::allreduce, 0, {coll::Algo::rd, false, bin});
   return cfg;
 }
 

@@ -2,6 +2,7 @@
 // deadlock detection, triggers, and predicate waits.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -332,6 +333,28 @@ TEST(Engine, DeadlockMessageCountsProcessesAndTime) {
     EXPECT_NE(msg.find("2 process"), std::string::npos) << msg;
     EXPECT_NE(msg.find("the_missing_signal"), std::string::npos) << msg;
   }
+}
+
+TEST(Engine, DeadlockDumpKeepsRegistrationOrderAcrossUnregister) {
+  // Unregistering the head, a middle and the tail source leaves the rest
+  // linked and reported in registration order (a dangling link would be a
+  // use-after-free in the dump).
+  Engine eng;
+  std::vector<std::unique_ptr<Trigger>> ts;
+  for (const char* name : {"t0", "t1", "t2", "t3", "t4", "t5"}) {
+    ts.push_back(std::make_unique<Trigger>(eng, name));
+  }
+  for (std::size_t i : {0u, 2u, 5u}) ts[i].reset();
+  ts.push_back(std::make_unique<Trigger>(eng, "t6"));
+  for (const auto& t : ts) {
+    if (t) eng.spawn(wait_forever(*t));
+  }
+  EXPECT_THROW(eng.run(), util::CheckError);
+  std::string msg = eng.describe_deadlock();
+  ASSERT_NE(msg.find("'t6'"), std::string::npos) << msg;
+  EXPECT_LT(msg.find("'t1'"), msg.find("'t3'")) << msg;
+  EXPECT_LT(msg.find("'t3'"), msg.find("'t4'")) << msg;
+  EXPECT_LT(msg.find("'t4'"), msg.find("'t6'")) << msg;
 }
 
 // Two identical runs must be bitwise identical in event count and end time.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/communicator.hpp"
+#include "util/format.hpp"
 
 namespace srm {
 namespace {
@@ -79,9 +80,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{65537},
                                          std::size_t{1 << 20})),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "x" +
-             std::to_string(std::get<1>(info.param)) + "_b" +
-             std::to_string(std::get<2>(info.param));
+      return util::cat("n", std::to_string(std::get<0>(info.param)), "x",
+                       std::to_string(std::get<1>(info.param)), "_b",
+                       std::to_string(std::get<2>(info.param)));
     });
 
 TEST(SrmBcast, EveryRootOnAsymmetricCluster) {
@@ -177,9 +178,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{2049},
                                          std::size_t{10000})),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "x" +
-             std::to_string(std::get<1>(info.param)) + "_c" +
-             std::to_string(std::get<2>(info.param));
+      return util::cat("n", std::to_string(std::get<0>(info.param)), "x",
+                       std::to_string(std::get<1>(info.param)), "_c",
+                       std::to_string(std::get<2>(info.param)));
     });
 
 TEST(SrmReduce, AllOpsAllDtypes) {
@@ -284,9 +285,9 @@ INSTANTIATE_TEST_SUITE_P(
                           std::size_t{2048}, std::size_t{2049},
                           std::size_t{40000})),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "x" +
-             std::to_string(std::get<1>(info.param)) + "_c" +
-             std::to_string(std::get<2>(info.param));
+      return util::cat("n", std::to_string(std::get<0>(info.param)), "x",
+                       std::to_string(std::get<1>(info.param)), "_c",
+                       std::to_string(std::get<2>(info.param)));
     });
 
 TEST(SrmAllreduce, BackToBackMixedProtocols) {
@@ -354,8 +355,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{3, 5}, std::tuple{4, 16}, std::tuple{7, 3},
                       std::tuple{16, 16}),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "x" +
-             std::to_string(std::get<1>(info.param));
+      return util::cat("n", std::to_string(std::get<0>(info.param)), "x",
+                       std::to_string(std::get<1>(info.param)));
     });
 
 TEST(SrmBarrier, ManyConsecutiveBarriers) {

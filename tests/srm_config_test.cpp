@@ -44,7 +44,7 @@ void exercise(SrmConfig cfg, int nodes = 3, int ppn = 4) {
         EXPECT_EQ(buf[i], static_cast<char>(i % 97)) << "bytes " << bytes;
       }
     }
-    for (std::size_t count : {7ul, 5000ul}) {
+    for (std::size_t count : {7ul, 1000ul, 5000ul, 10000ul}) {
       std::vector<double> in(count, 1.0 + t.rank), out(count, 0.0);
       co_await comm.allreduce(t, coll::of(in.data(), count),
                               coll::of(out.data(), count), coll::RedOp::sum);
@@ -57,22 +57,37 @@ void exercise(SrmConfig cfg, int nodes = 3, int ppn = 4) {
   });
 }
 
-TEST(SrmConfig, BinaryInternodeTree) {
+// Every row on a non-binomial inter-node tree (staged bcast turns direct
+// above the shared buffer), with exercise()'s allreduce sizes forced through
+// rd (56 B), ring (8000 B), rhalving (40000 B) and pipeline (80000 B), so
+// every allreduce path and its per-link bookkeeping runs on that tree.
+SrmConfig tree_cfg(coll::TreeKind kind) {
+  using coll::Algo;
+  using coll::CollKind;
   SrmConfig cfg;
-  cfg.internode_tree = coll::TreeKind::binary;
-  exercise(cfg);
+  cfg.decisions.profile = "tree";
+  cfg.decisions.set(CollKind::bcast, 0, {Algo::staged, false, kind});
+  cfg.decisions.set(CollKind::reduce, 0, {Algo::staged, false, kind});
+  cfg.decisions.set(CollKind::allreduce, 0, {Algo::rd, false, kind});
+  cfg.decisions.set(CollKind::allreduce, 4096, {Algo::ring, false, kind});
+  cfg.decisions.set(CollKind::allreduce, 16 * 1024 + 1,
+                    {Algo::rhalving, false, kind});
+  cfg.decisions.set(CollKind::allreduce, 64 * 1024 + 1,
+                    {Algo::pipeline, false, kind});
+  cfg.decisions.set(CollKind::barrier, 0, {Algo::staged, false, kind});
+  return cfg;
+}
+
+TEST(SrmConfig, BinaryInternodeTree) {
+  exercise(tree_cfg(coll::TreeKind::binary));
 }
 
 TEST(SrmConfig, FibonacciInternodeTree) {
-  SrmConfig cfg;
-  cfg.internode_tree = coll::TreeKind::fibonacci;
-  exercise(cfg, 5, 3);
+  exercise(tree_cfg(coll::TreeKind::fibonacci), 5, 3);
 }
 
 TEST(SrmConfig, FlatInternodeTree) {
-  SrmConfig cfg;
-  cfg.internode_tree = coll::TreeKind::flat;
-  exercise(cfg, 4, 2);
+  exercise(tree_cfg(coll::TreeKind::flat), 4, 2);
 }
 
 TEST(SrmConfig, BinaryIntranodeTree) {
@@ -120,7 +135,9 @@ TEST(SrmConfig, PipeliningDisabled) {
 
 TEST(SrmConfig, EarlyLargeProtocolSwitch) {
   SrmConfig cfg;
-  cfg.bcast_small_max = 16 * 1024;
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.set(coll::CollKind::bcast, 16 * 1024 + 1,
+                    {coll::Algo::direct, false, coll::TreeKind::binomial});
   cfg.bcast_pipe_max = 8 * 1024;
   exercise(cfg);
 }
@@ -128,7 +145,9 @@ TEST(SrmConfig, EarlyLargeProtocolSwitch) {
 TEST(SrmConfig, SmallReduceChunks) {
   SrmConfig cfg;
   cfg.reduce_chunk = 4096;
-  cfg.allreduce_rd_max = 4096;
+  cfg.decisions = coll::DecisionTable::ibm_sp();
+  cfg.decisions.set(coll::CollKind::allreduce, 4096 + 1,
+                    {coll::Algo::pipeline, false, coll::TreeKind::binomial});
   exercise(cfg);
 }
 
@@ -142,8 +161,13 @@ TEST(SrmConfig, InvalidBufferSizingThrows) {
   Cluster cluster(shape(2, 2));
   lapi::Fabric fabric(cluster);
   SrmConfig cfg;
-  cfg.smp_buf_bytes = 4096;  // smaller than the 64 KB small-protocol max
+  cfg.smp_buf_bytes = 0;  // no room to stage any broadcast or gather
   EXPECT_THROW(Communicator(cluster, fabric, cfg), util::CheckError);
+  // An rd allreduce of one reduce chunk publishes through one buffer.
+  cfg.smp_buf_bytes = cfg.reduce_chunk / 2;
+  EXPECT_THROW(Communicator(cluster, fabric, cfg), util::CheckError);
+  cfg.smp_buf_bytes = cfg.reduce_chunk;
+  EXPECT_NO_THROW(Communicator(cluster, fabric, cfg));
 }
 
 TEST(SrmConfig, MisalignedReduceChunkThrows) {

@@ -7,6 +7,7 @@
 
 #include "core/communicator.hpp"
 #include "mpi/comm.hpp"
+#include "util/format.hpp"
 
 namespace srm {
 namespace {
@@ -125,9 +126,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(std::size_t{1}, std::size_t{300},
                           std::size_t{4096}, std::size_t{20000})),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "x" +
-             std::to_string(std::get<1>(info.param)) + "_c" +
-             std::to_string(std::get<2>(info.param));
+      return util::cat("n", std::to_string(std::get<0>(info.param)), "x",
+                       std::to_string(std::get<1>(info.param)), "_c",
+                       std::to_string(std::get<2>(info.param)));
     });
 
 TEST(SrmReduceScatter, SumsAndSplits) {
