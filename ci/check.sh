@@ -27,6 +27,12 @@
 #                    and the tune artifacts (when stage 1d left them behind)
 #                    cross-checked for dominance; also runnable alone via
 #                    `ci/check.sh sa`
+#   1f. figures    — whole-figure gate: every bench with a log in
+#                    bench_logs/ (figs 6-12, headline_claims, the abl_*
+#                    ablations) is re-run and the table part of its stdout
+#                    (everything before the instrumented/BENCH_JSON trailer)
+#                    must match the log byte for byte; also runnable alone
+#                    via `ci/check.sh figures`. Not part of `fast`.
 #   2. sanitize    — ASan+UBSan build, full ctest
 #   2b. release    — CMAKE_BUILD_TYPE=Release (-O3) build under -Werror,
 #                    full ctest: optimizer-only warnings surface here
@@ -160,6 +166,35 @@ run_sa() {
   done
 }
 
+run_figures() {
+  local dir="build-ci/default"
+  echo "=== [figures] whole-figure tables vs bench_logs/ ==="
+  cmake -B "$dir" -S . -DSRM_CHK=ON -DSRM_MC=ON >/dev/null
+  local logs=(bench_logs/*.txt) targets=() log
+  for log in "${logs[@]}"; do targets+=("$(basename "$log" .txt)"); done
+  cmake --build "$dir" -j "$JOBS" --target "${targets[@]}" >/dev/null
+  local name failed=0
+  for name in "${targets[@]}"; do
+    # Table part: stop at the trailer, drop trailing blank lines. Benches
+    # write their JSON/trace artifacts into the working directory.
+    if ! diff -u "bench_logs/$name.txt" <(cd "$dir/bench" && "./$name" | awk '
+        /^(instrumented|BENCH_JSON)/ { stop = 1 }
+        stop { next }
+        /^$/ { blank++; next }
+        { while (blank > 0) { print ""; blank-- } print }'); then
+      echo "figure table drifted: $name (bench_logs/$name.txt)"
+      failed=1
+    fi
+  done
+  return "$failed"
+}
+
+if [[ "$MODE" == "figures" ]]; then
+  run_figures
+  echo "=== figures stage passed ==="
+  exit 0
+fi
+
 if [[ "$MODE" == "perf" ]]; then
   run_perf_gate
   echo "=== perf gate passed ==="
@@ -191,6 +226,7 @@ run_tune
 run_sa
 
 if [[ "$MODE" != "fast" ]]; then
+  run_figures
   run_stage sanitize -DSRM_CHK=ON -DSRM_SANITIZE=address,undefined
   run_stage release -DCMAKE_BUILD_TYPE=Release
   run_stage chk-off -DSRM_CHK=OFF

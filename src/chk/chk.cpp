@@ -66,12 +66,18 @@ Checker::~Checker() { eng_->remove_blocked_source(this); }
 void Checker::set_enabled(bool on) { enabled_ = kEnabled && on; }
 
 void Checker::register_region(const void* base, std::size_t bytes,
-                              std::string name) {
+                              std::string name, int owner) {
   if (!kEnabled || bytes == 0) return;
   Region rg;
   rg.name = std::move(name);
   rg.size = bytes;
+  rg.owner = owner;
   regions_[base] = std::move(rg);
+}
+
+void Checker::retire_region(const void* base) {
+  auto it = regions_.find(base);
+  if (it != regions_.end() && it->second.owner >= 0) it->second.retired = true;
 }
 
 void Checker::release(int actor, SyncVar& v, const char* what) {
@@ -149,6 +155,17 @@ Checker::Region* Checker::find_region(const void* p, std::size_t len,
   return &it->second;
 }
 
+Checker::Region* Checker::region_for(int actor, const void* p,
+                                     std::size_t len, std::size_t& off) {
+  Region* rg = find_region(p, len, off);
+  if (rg == nullptr || !rg->retired || actor == rg->owner) return rg;
+  for (ActorState& a : actors_) {
+    if (a.last_access.rg == rg) a.last_access.rg = nullptr;
+  }
+  regions_.erase(static_cast<const char*>(p) - off);
+  return nullptr;
+}
+
 void Checker::check_access(Region& rg, const std::vector<Clock>& vc,
                            int actor, Clock epoch, std::size_t lo,
                            std::size_t hi, Access k,
@@ -193,7 +210,7 @@ void Checker::check_access(Region& rg, const std::vector<Clock>& vc,
 void Checker::access(int actor, const void* p, std::size_t len, Access k) {
   if (!enabled()) return;
   std::size_t off = 0;
-  Region* rg = find_region(p, len, off);
+  Region* rg = region_for(actor, p, len, off);
   if (rg == nullptr) return;
   const auto& vc = vc_of(actor);
   Clock epoch = vc[static_cast<std::size_t>(actor)];
@@ -211,7 +228,7 @@ void Checker::access_remote(const MsgClock& m, const void* p, std::size_t len,
                             Access k) {
   if (!enabled() || m.origin < 0) return;
   std::size_t off = 0;
-  Region* rg = find_region(p, len, off);
+  Region* rg = region_for(m.origin, p, len, off);
   if (rg == nullptr) return;
   Clock epoch = m.vc[static_cast<std::size_t>(m.origin)];
   check_access(*rg, m.vc, m.origin, epoch, off, off + len, k, m.stages);

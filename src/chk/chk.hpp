@@ -124,8 +124,18 @@ class Checker : public sim::BlockedInfoSource {
   int nactors() const noexcept { return static_cast<int>(actors_.size()); }
 
   /// Register @p bytes at @p base as a tracked shared region. Accesses to
-  /// unregistered memory (private user buffers) are ignored.
-  void register_region(const void* base, std::size_t bytes, std::string name);
+  /// unregistered memory (private user buffers) are ignored. @p owner is
+  /// the actor whose private memory the region exports (a shm::Mapping
+  /// window), or -1 for shared-segment memory.
+  void register_region(const void* base, std::size_t bytes, std::string name,
+                       int owner = -1);
+  /// The owner took the exported region at @p base back (window retract):
+  /// from now on only the owner's own accesses are checked against its
+  /// history. Every simulated task allocates from one host heap, so the
+  /// first access by any other actor means the owner freed the buffer and
+  /// the host reused the memory for that actor's private data: the region
+  /// is dropped and the access ignored.
+  void retire_region(const void* base);
 
   // --- happens-before edges -------------------------------------------------
   /// Writer side of a sync object: join the actor's clock into it, then tick.
@@ -188,6 +198,8 @@ class Checker : public sim::BlockedInfoSource {
     std::string name;
     std::size_t size = 0;
     std::vector<Record> recs;
+    int owner = -1;        // exporting actor (windows), -1 for segments
+    bool retired = false;  // owner retracted it (retire_region)
   };
   // Breadcrumbs for deadlock dumps; formatted lazily by last_event().
   struct LastAccess {
@@ -209,6 +221,10 @@ class Checker : public sim::BlockedInfoSource {
   // memory at mega scale; absent components read as 0.
   std::vector<Clock>& vc_of(int actor);
   Region* find_region(const void* p, std::size_t len, std::size_t& off);
+  /// Find the region of an access by @p actor; a retired region touched by
+  /// another actor is dropped (its memory was recycled) and not returned.
+  Region* region_for(int actor, const void* p, std::size_t len,
+                     std::size_t& off);
   void check_access(Region& rg, const std::vector<Clock>& vc, int actor,
                     Clock epoch, std::size_t lo, std::size_t hi, Access k,
                     const std::vector<const char*>& stages);

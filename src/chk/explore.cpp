@@ -24,20 +24,7 @@ double value(int rank, int k, std::size_t i) {
   return (rank % 13) + (k % 7) * 0.5 + static_cast<double>(i % 11);
 }
 
-struct Op {
-  enum Kind {
-    barrier,
-    bcast,
-    reduce,
-    allreduce,
-    scatter,
-    gather,
-    allgather,
-    reduce_scatter
-  } kind;
-  std::size_t count;  // bytes for bcast, f64 elements otherwise
-  int root;
-};
+using Op = ExploreOp;
 
 /// Fixed sequence: every operation, at sizes straddling the SRM protocol
 /// switches (small/large bcast, one-chunk/pipelined reduce, recursive-
@@ -294,6 +281,7 @@ ExploreResult explore(const ExploreOptions& opt) {
         res.payload_errors.size() + res.races.size() + res.deadlocks.size();
 
     machine::ClusterConfig cc;
+    cc.params = opt.params;
     cc.nodes = opt.nodes;
     cc.tasks_per_node = opt.tasks_per_node;
     if (opt.jitter) jitter_params(cc.params, seed);
@@ -312,7 +300,7 @@ ExploreResult explore(const ExploreOptions& opt) {
     switch (opt.backend) {
       case ExploreBackend::srm:
         fabric = std::make_unique<lapi::Fabric>(cluster);
-        srm_impl = std::make_unique<Communicator>(cluster, *fabric);
+        srm_impl = std::make_unique<Communicator>(cluster, *fabric, opt.srm);
         coll = srm_impl.get();
         break;
       case ExploreBackend::mpi_ibm:
@@ -327,7 +315,8 @@ ExploreResult explore(const ExploreOptions& opt) {
         break;
     }
 
-    auto plan = make_plan(cluster.topology().nranks());
+    std::vector<Op> plan =
+        opt.plan.empty() ? make_plan(cluster.topology().nranks()) : opt.plan;
     Verifier v{seed, &res.payload_errors};
     try {
       cluster.run([&](machine::TaskCtx& t) -> sim::CoTask {

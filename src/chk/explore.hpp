@@ -12,9 +12,13 @@
 // by the protocol's own flags/counters AND every answer was right.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "core/config.hpp"
+#include "machine/params.hpp"
 
 namespace srm::chk {
 
@@ -22,6 +26,22 @@ namespace srm::chk {
 enum class ExploreBackend { srm, mpi_ibm, mpi_mpich };
 
 const char* backend_name(ExploreBackend b);
+
+/// One step of an explored operation sequence.
+struct ExploreOp {
+  enum Kind {
+    barrier,
+    bcast,
+    reduce,
+    allreduce,
+    scatter,
+    gather,
+    allgather,
+    reduce_scatter
+  } kind;
+  std::size_t count;  // bytes for bcast, f64 elements otherwise
+  int root;
+};
 
 struct ExploreOptions {
   ExploreBackend backend = ExploreBackend::srm;
@@ -40,6 +60,14 @@ struct ExploreOptions {
   /// reproducer mode. The failing seed and its synchronization trace are in
   /// the result either way.
   bool stop_on_failure = false;
+  /// Machine constants each run starts from (before jitter).
+  machine::MachineParams params = machine::MachineParams::ibm_sp();
+  /// SRM backend: the communicator's configuration (decision table,
+  /// single-copy switch, buffer sizes).
+  SrmConfig srm;
+  /// The operation sequence; empty runs the built-in plan covering all
+  /// eight operations at sizes straddling the SRM protocol switches.
+  std::vector<ExploreOp> plan;
 };
 
 struct ExploreResult {
@@ -65,8 +93,9 @@ struct ExploreResult {
   }
 };
 
-/// Run the full eight-operation sequence under opt.schedules seeded
-/// schedules. Never throws for protocol failures — they are returned.
+/// Run the operation sequence (opt.plan, by default all eight operations)
+/// under opt.schedules seeded schedules. Never throws for protocol
+/// failures — they are returned.
 ///
 /// Environment override: when SRM_EXPLORE_SEED is set, the sweep collapses
 /// to exactly that one seed (schedules = 1, seed_base = $SRM_EXPLORE_SEED) —

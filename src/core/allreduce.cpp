@@ -36,7 +36,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
 
   if (!t.is_master()) {
     co_await smp_reduce_participant(t, itree, send, count, d, op);
-    finish_reduce_bookkeeping(t, emb, nchunks);
+    finish_reduce_bookkeeping(t, itree, nchunks, /*mapped=*/false, &emb);
     // Wait for the master to publish the global result (fill mode: the
     // master copies its recv buffer into the shared broadcast buffer).
     co_await smp_bcast_chunk(t, 0, nullptr, recv, bytes, nullptr);
@@ -45,7 +45,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
 
   // Master: node-local combine straight into the receive buffer.
   co_await smp_reduce_chunk_leader(t, itree, send, recv, 0, 0, count, d, op);
-  finish_reduce_bookkeeping(t, emb, nchunks);
+  finish_reduce_bookkeeping(t, itree, nchunks, /*mapped=*/false, &emb);
 
   lapi::Endpoint& my_ep = ep(t.rank);
   int n = t.nnodes();

@@ -185,30 +185,13 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
   // exports the whole network chunk as one window instead — no staging
   // buffer, so no sub-chunking and one copy per consumer instead of two.
   bool mapped = mapped_on(coll::CollKind::bcast, bytes);
-  auto smp_publish = [this, &t, leader_local, buf, mapped](
-                         std::size_t off, std::size_t len,
-                         bool is_leader) -> sim::CoTask {
-    if (mapped) {
-      std::byte* p = static_cast<std::byte*>(buf) + off;
-      co_await smp_bcast_mapped(t, leader_local, is_leader ? p : nullptr, p,
-                                len);
-      co_return;
-    }
-    std::size_t done = 0;
-    while (done < len) {
-      std::size_t sub = std::min(cfg_.smp_buf_bytes, len - done);
-      std::byte* p = static_cast<std::byte*>(buf) + off + done;
-      co_await smp_bcast_chunk(t, leader_local, is_leader ? p : nullptr, p,
-                               sub, nullptr);
-      done += sub;
-    }
-  };
+  auto* base = static_cast<std::byte*>(buf);
 
   if (t.rank != leader) {
     for (std::size_t c = 0; c < nchunks; ++c) {
       std::size_t off = c * chunk;
       std::size_t len = std::min(chunk, bytes - off);
-      co_await smp_publish(off, len, false);
+      co_await smp_publish(t, leader_local, nullptr, base + off, len, mapped);
     }
     co_return;
   }
@@ -264,7 +247,8 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
     }
     // Stages 3/4: SMP broadcast of the arrived chunk, pipelined through the
     // two shared buffers while the network keeps streaming.
-    co_await smp_publish(off, len, true);
+    co_await smp_publish(t, leader_local, base + off, base + off, len,
+                         mapped);
   }
   if (org_pending > 0) {
     co_await my_ep.wait_cntr(org, org_pending);

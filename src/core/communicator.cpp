@@ -208,22 +208,9 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
     zoo_org = counter("zoo_org");
   }
 
-  // --- single-copy cross-mapping windows + mapped-reduce accumulators ---
+  // --- single-copy cross-mapping windows ---
   map = &seg.object<shm::Mapping>(prefix + "/map", eng, mp, nlocal,
                                   prefix + "/map");
-  for (int s = 0; s < 2; ++s) {
-    auto& slots = sc_acc[static_cast<std::size_t>(s)];
-    slots.reserve(static_cast<std::size_t>(nlocal));
-    for (int l = 0; l < nlocal; ++l) {
-      slots.push_back(seg.buffer(
-          prefix + "/sc_acc" + std::to_string(s) + "_" + std::to_string(l),
-          cfg.reduce_chunk));
-    }
-    sc_cons[static_cast<std::size_t>(s)] = std::make_unique<shm::FlagArray>(
-        eng, mp, nlocal, 0, prefix + "/sc_cons" + std::to_string(s));
-  }
-  sc_pub =
-      std::make_unique<shm::FlagArray>(eng, mp, nlocal, 0, prefix + "/sc_pub");
 }
 
 Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
@@ -285,7 +272,6 @@ void Communicator::ensure_real_state() {
     r.bc_recv.assign(static_cast<std::size_t>(topo.nodes()), 0);
     r.smp_red_base.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
     r.map_gen.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
-    r.sc_base.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
     r.zoo_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
     r.zoo_recvd.assign(static_cast<std::size_t>(topo.nodes()), 0);
   }

@@ -35,6 +35,7 @@
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -168,7 +169,10 @@ class Communicator final : public coll::Collectives {
     // node leadership changes across operations (the root moves), chunks in
     // *different* slots are consumed by *different* leaders that are not
     // mutually ordered, so only a per-slot count tells a writer that the
-    // previous occupant of its slot is really gone.
+    // previous occupant of its slot is really gone. Staged and mapped
+    // reduces share this one pair per task (a mapped leaf exports its send
+    // window instead of writing a slot), so an operation in one mode can
+    // wait for the previous operation's last two chunks in the other.
     std::array<std::vector<std::span<std::byte>>, 2> red_slot;  // [slot][local]
     std::unique_ptr<shm::FlagArray> red_published;
     std::array<std::unique_ptr<shm::FlagArray>, 2> red_consumed;  // [slot]
@@ -256,16 +260,9 @@ class Communicator final : public coll::Collectives {
     // ---- single-copy cross-mapping state (core/single_copy.cpp) ----
     //
     // One window slot per local task: the mapped protocols export user
-    // buffers through it instead of staging through bc_buf/red_slot.
+    // buffers through it instead of staging through bc_buf, and mapped
+    // reduce leaves instead of writing red_slot.
     shm::Mapping* map = nullptr;  // owned by the segment
-    // Mapped-reduce accumulators: interior vertices of the topology tree
-    // combine their subtree into these per-local slot pairs (leaves
-    // contribute straight from their exported send windows and need no
-    // slot). Guarded by monotonic published/consumed counters exactly like
-    // red_slot/red_published/red_consumed.
-    std::array<std::vector<std::span<std::byte>>, 2> sc_acc;  // [slot][local]
-    std::unique_ptr<shm::FlagArray> sc_pub;
-    std::array<std::unique_ptr<shm::FlagArray>, 2> sc_cons;  // [slot]
   };
 
   // ---- per-rank protocol sequence numbers ----
@@ -287,17 +284,14 @@ class Communicator final : public coll::Collectives {
     std::vector<std::uint64_t> bc_recv;
     // Cumulative gather staging chunks on this rank's node (slot parity).
     std::uint64_t ga_seq = 0;
-    // Cumulative SMP-reduce chunks each local task has published (slot
-    // parity + published/consumed counter baselines).
+    // Cumulative SMP-reduce chunks each local task has published into its
+    // red_slot pair, staged and mapped operations alike (slot parity +
+    // published/consumed counter baselines).
     std::vector<std::uint64_t> smp_red_base;
     // Expected window generation per local task's Mapping slot: bumped in
     // lockstep by every rank of the node whenever a mapped protocol makes
     // local task l export a window — the attach side passes map_gen[l]+1.
     std::vector<std::uint64_t> map_gen;
-    // Cumulative mapped-reduce chunks each local accumulated into its
-    // sc_acc slots (parity + published/consumed baselines, the mapped twin
-    // of smp_red_base).
-    std::vector<std::uint64_t> sc_base;
     // Cumulative streamed zoo chunks my node sent to / received from each
     // peer node (zoo_land slot parity). Advanced identically on every rank
     // of the node — leadership can change between operations.
@@ -315,16 +309,44 @@ class Communicator final : public coll::Collectives {
 
   // ---- SMP primitives (core/smp.cpp) ----
 
-  /// Flat two-buffer SMP broadcast of one chunk (Fig. 3). Fill mode
-  /// (@p shared_src == nullptr): the leader copies @p src into the next
-  /// shared buffer and every other task copies out to its own @p dst.
-  /// Shared mode (@p shared_src set): the data already sits in shared memory
-  /// (a LAPI put landed it there) and *everyone* — leader included — copies
-  /// straight out of @p shared_src, with no staging copy. Advances the A/B
-  /// READY-flag parity either way.
+  /// One chunk of the flat two-buffer SMP distribution (Fig. 3). The leader
+  /// makes [chunk_off, chunk_off+len) of a node block available: fill mode
+  /// (@p shared_src == nullptr) copies @p fill_src into the next shared
+  /// buffer; shared mode means the data already sits in shared memory (a
+  /// LAPI put landed it at @p shared_src), so there is no staging copy.
+  /// Then every task with a non-null @p my_dst — leader included — copies
+  /// the intersection with its own slice [my_lo, my_hi) to @p my_dst (which
+  /// points at my_lo's data). Advances the A/B READY-flag parity. @p bcast
+  /// marks the whole-chunk broadcast case (smp_bcast_chunk): it records the
+  /// smp.bcast_chunk span and stage and honours the smp_bcast_tree ablation.
+  sim::CoTask smp_slice_chunk(machine::TaskCtx& t, int leader_local,
+                              const std::byte* fill_src,
+                              const std::byte* shared_src,
+                              std::size_t chunk_off, std::size_t len,
+                              std::size_t my_lo, std::size_t my_hi,
+                              std::byte* my_dst, bool bcast = false);
+
+  /// SMP broadcast of one chunk: smp_slice_chunk where every task's slice is
+  /// the whole chunk. In fill mode the leader's @p dst already holds @p src,
+  /// so only the other tasks copy; in shared mode everyone copies out of
+  /// @p shared_src. Pass src == nullptr on non-leader ranks.
   sim::CoTask smp_bcast_chunk(machine::TaskCtx& t, int leader_local,
                               const void* src, void* dst, std::size_t len,
-                              const std::byte* shared_src);
+                              const std::byte* shared_src) {
+    bool in_place = shared_src == nullptr && t.local() == leader_local;
+    return smp_slice_chunk(t, leader_local,
+                           static_cast<const std::byte*>(src), shared_src, 0,
+                           len, 0, len,
+                           in_place ? nullptr : static_cast<std::byte*>(dst),
+                           /*bcast=*/true);
+  }
+
+  /// Publish @p bytes of the leader's @p src to every local task's @p dst:
+  /// one mapped window (smp_bcast_mapped) when @p mapped, else the staged
+  /// Fig. 3 buffers, chunked to fit them.
+  sim::CoTask smp_publish(machine::TaskCtx& t, int leader_local,
+                          const void* src, void* dst, std::size_t bytes,
+                          bool mapped = false);
 
   /// Tree-structured SMP broadcast chunk (ablation, §2.2: the paper found
   /// the flat variant faster despite read contention).
@@ -332,42 +354,36 @@ class Communicator final : public coll::Collectives {
                                    const void* src, void* dst,
                                    std::size_t len);
 
-  /// Non-leader side of the pipelined SMP reduce (Fig. 2, chunked): leaves
-  /// copy their chunks into their shared slots, interior tasks combine their
-  /// own data with their children's slots into their own slot. @p tree is
-  /// the intranode tree over local ranks.
+  /// Non-leader side of the pipelined SMP reduce (Fig. 2, chunked) over the
+  /// intranode @p tree of local ranks: leaves copy their chunks into their
+  /// shared slots, interior tasks combine their own data with their
+  /// children's chunks into their own slot. @p mapped (single-copy) changes
+  /// only where a leaf's data comes from: a mapped leaf exports its send
+  /// buffer once and does no per-chunk work, and its parent combines
+  /// straight out of that window — zero copies, only combines.
   sim::CoTask smp_reduce_participant(machine::TaskCtx& t,
                                      const coll::Tree& tree, const void* send,
                                      std::size_t count, coll::Dtype d,
-                                     coll::RedOp op);
+                                     coll::RedOp op, bool mapped = false);
 
   /// Leader side of one SMP-reduce chunk: waits for the leader's children in
   /// @p tree and combines its own data with theirs straight into @p dst
-  /// (no staging copy). @p c is the op-local chunk index.
-  sim::CoTask smp_reduce_chunk_leader(machine::TaskCtx& t,
-                                      const coll::Tree& tree,
-                                      const void* send, void* dst,
-                                      std::size_t c, std::size_t elem_off,
-                                      std::size_t elems, coll::Dtype d,
-                                      coll::RedOp op);
+  /// (no staging copy). @p c is the op-local chunk index. When @p mapped,
+  /// leaf children are read from @p wins, indexed by child local rank
+  /// (attach_leaf_windows).
+  sim::CoTask smp_reduce_chunk_leader(
+      machine::TaskCtx& t, const coll::Tree& tree, const void* send,
+      void* dst, std::size_t c, std::size_t elem_off, std::size_t elems,
+      coll::Dtype d, coll::RedOp op, bool mapped = false,
+      std::span<const shm::Mapping::Window> wins = {});
 
-  /// Bookkeeping every rank runs after a reduce-like op: advance the
-  /// published-count baselines and the inter-node landing parities.
-  void finish_reduce_bookkeeping(machine::TaskCtx& t,
-                                 const coll::Embedding& emb,
-                                 std::size_t nchunks);
-
-  /// One sliced SMP distribution chunk (scatter / root-node publishes):
-  /// the leader makes [chunk_off, chunk_off+len) of the node block available
-  /// (copying @p fill_src into the shared buffer unless @p shared_src
-  /// already holds it), and every task copies the intersection with its own
-  /// slice [my_lo, my_hi) to @p my_dst (which points at my_lo's data).
-  sim::CoTask smp_slice_chunk(machine::TaskCtx& t, int leader_local,
-                              const std::byte* fill_src,
-                              const std::byte* shared_src,
-                              std::size_t chunk_off, std::size_t len,
-                              std::size_t my_lo, std::size_t my_hi,
-                              std::byte* my_dst);
+  /// Bookkeeping every rank runs after an SMP reduce over @p tree: advance
+  /// each non-leader's slot baseline by @p nchunks (a mapped leaf's window
+  /// generation by one instead) and, when @p emb is given, the inter-node
+  /// landing parities of the reduce pipeline.
+  void finish_reduce_bookkeeping(machine::TaskCtx& t, const coll::Tree& tree,
+                                 std::size_t nchunks, bool mapped,
+                                 const coll::Embedding* emb);
 
   // ---- single-copy cross-mapped SMP primitives (core/single_copy.cpp) ----
 
@@ -397,26 +413,6 @@ class Communicator final : public coll::Collectives {
   sim::CoTask smp_bcast_mapped(machine::TaskCtx& t, int leader_local,
                                const void* src, void* dst, std::size_t len);
 
-  /// Non-leader side of the mapped SMP reduce over @p tree (a topology
-  /// tree): leaves export their send buffers once and do no per-chunk work;
-  /// interior vertices combine their own data, their leaf children's
-  /// windows, and their interior children's sc_acc slots into their own
-  /// sc_acc slot, chunk by chunk. Zero copies — only combines.
-  sim::CoTask smp_reduce_participant_mapped(machine::TaskCtx& t,
-                                            const coll::Tree& tree,
-                                            const void* send,
-                                            std::size_t count, coll::Dtype d,
-                                            coll::RedOp op);
-
-  /// Leader side of one mapped-reduce chunk: combine own data + children
-  /// (leaf windows from @p wins, interior sc_acc slots) straight into
-  /// @p dst. @p wins is indexed by child local rank (attach_leaf_windows).
-  sim::CoTask smp_reduce_chunk_leader_mapped(
-      machine::TaskCtx& t, const coll::Tree& tree, const void* send,
-      void* dst, std::size_t c, std::size_t elem_off, std::size_t elems,
-      coll::Dtype d, coll::RedOp op,
-      const std::vector<shm::Mapping::Window>& wins);
-
   /// Attach (once per operation, before the chunk loop) the windows of the
   /// caller's leaf children in @p tree; @p wins is resized to nlocal and
   /// filled at the children's local ranks. detach_leaf_windows releases
@@ -424,14 +420,6 @@ class Communicator final : public coll::Collectives {
   sim::CoTask attach_leaf_windows(machine::TaskCtx& t, const coll::Tree& tree,
                                   std::vector<shm::Mapping::Window>& wins);
   void detach_leaf_windows(machine::TaskCtx& t, const coll::Tree& tree);
-
-  /// Mapped twin of finish_reduce_bookkeeping: advance window generations
-  /// (leaf vertices), accumulator baselines (interior non-leader vertices),
-  /// and the inter-node landing parities.
-  void finish_reduce_bookkeeping_mapped(machine::TaskCtx& t,
-                                        const coll::Embedding& emb,
-                                        const coll::Tree& tree,
-                                        std::size_t nchunks);
 
   /// SMP barrier (§2.2): flat flags, master gathers then resets.
   sim::CoTask smp_barrier(machine::TaskCtx& t);
@@ -467,7 +455,8 @@ class Communicator final : public coll::Collectives {
   // decision table: all of them reduce intra-node with the staged Fig. 2
   // pipeline into the node master's buffer, run their inter-node exchange
   // between masters over the zoo_* state, and publish the result through
-  // the staged Fig. 3 buffers (the mapped column is ignored here).
+  // the staged Fig. 3 buffers (smp_publish; the mapped column is ignored
+  // here).
 
   /// Ring allreduce: reduce-scatter around the node ring (streamed through
   /// the landing slots, combining on arrival), then allgather by direct
@@ -492,10 +481,6 @@ class Communicator final : public coll::Collectives {
   sim::CoTask zoo_node_reduce(machine::TaskCtx& t, const coll::Tree& tree,
                               const void* send, void* recv, std::size_t count,
                               coll::Dtype d, coll::RedOp op);
-  /// Publish @p bytes of the leader's @p src to every local task's @p dst
-  /// through the staged Fig. 3 buffers, chunked to fit them.
-  sim::CoTask zoo_publish(machine::TaskCtx& t, int leader_local,
-                          const void* src, void* dst, std::size_t bytes);
   /// Stream [@p src, @p src+bytes) into @p dst_node's landing slots
   /// (reduce_chunk pieces, credit-gated), where the receiving leader is
   /// expected to combine each piece on arrival and return the credit.

@@ -112,7 +112,7 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
     co_await ns.map->attach(
         t, leader_local,
         rs.map_gen[static_cast<std::size_t>(leader_local)] + 1, &w);
-    co_await t.nd->mem.charge_copy_scaled(
+    co_await t.nd->mem.charge_copy(
         static_cast<double>(block),
         t.P->topo.copy_factor(leader_local, t.local(), true));
     std::memcpy(recv, w.data + my_lo, block);
@@ -239,7 +239,7 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
         }
         shm::Mapping::Window w;
         co_await ns.map->attach(t, l, rs.map_gen[li] + 1, &w);
-        co_await t.nd->mem.charge_copy_scaled(
+        co_await t.nd->mem.charge_copy(
             static_cast<double>(block),
             t.P->topo.copy_factor(l, t.local(), true));
         std::memcpy(rp + dst_off, w.data, block);
@@ -311,7 +311,7 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
       for (int l = 0; l < p; ++l) {
         f += t.P->topo.copy_factor(l, t.local(), /*dirty=*/true);
       }
-      co_await t.nd->mem.charge_copy_scaled(
+      co_await t.nd->mem.charge_copy(
           static_cast<double>(len), f / static_cast<double>(p));
       chk::note_read(t.chk, ns.ga_stage[slot].data(), len);
       std::memcpy(static_cast<std::byte*>(recv) + node_base + off,

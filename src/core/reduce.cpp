@@ -43,13 +43,8 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   std::size_t nchunks = detail::chunk_count(count, chunk_elems);
 
   if (t.rank != leader) {
-    if (mapped) {
-      co_await smp_reduce_participant_mapped(t, itree, send, count, d, op);
-      finish_reduce_bookkeeping_mapped(t, emb, itree, nchunks);
-    } else {
-      co_await smp_reduce_participant(t, itree, send, count, d, op);
-      finish_reduce_bookkeeping(t, emb, nchunks);
-    }
+    co_await smp_reduce_participant(t, itree, send, count, d, op, mapped);
+    finish_reduce_bookkeeping(t, itree, nchunks, mapped, &emb);
     co_return;
   }
 
@@ -83,13 +78,8 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
     }
 
     // Intra-node combine straight into dst.
-    if (mapped) {
-      co_await smp_reduce_chunk_leader_mapped(t, itree, send, dst, c,
-                                              elem_off, elems, d, op, wins);
-    } else {
-      co_await smp_reduce_chunk_leader(t, itree, send, dst, c, elem_off,
-                                       elems, d, op);
-    }
+    co_await smp_reduce_chunk_leader(t, itree, send, dst, c, elem_off,
+                                     elems, d, op, mapped, wins);
 
     // Fold in the inter-node children's landing zones as they arrive.
     for (int child : kids) {
@@ -129,12 +119,8 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   if (out_inflight > 0) {
     co_await my_ep.wait_cntr(*ns.red_out_org, out_inflight);
   }
-  if (mapped) {
-    detach_leaf_windows(t, itree);
-    finish_reduce_bookkeeping_mapped(t, emb, itree, nchunks);
-  } else {
-    finish_reduce_bookkeeping(t, emb, nchunks);
-  }
+  if (mapped) detach_leaf_windows(t, itree);
+  finish_reduce_bookkeeping(t, itree, nchunks, mapped, &emb);
 }
 
 }  // namespace srm

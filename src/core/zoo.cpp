@@ -38,22 +38,6 @@ std::size_t nz_chunks(std::size_t bytes, std::size_t chunk) {
 }
 }  // namespace
 
-sim::CoTask Communicator::zoo_publish(machine::TaskCtx& t, int leader_local,
-                                      const void* src, void* dst,
-                                      std::size_t bytes) {
-  bool leader = t.local() == leader_local;
-  std::size_t done = 0;
-  while (done < bytes) {
-    std::size_t sub = std::min(cfg_.smp_buf_bytes, bytes - done);
-    const void* s =
-        leader ? static_cast<const std::byte*>(src) + done : nullptr;
-    co_await smp_bcast_chunk(t, leader_local, s,
-                             static_cast<std::byte*>(dst) + done, sub,
-                             nullptr);
-    done += sub;
-  }
-}
-
 sim::CoTask Communicator::zoo_node_reduce(machine::TaskCtx& t,
                                           const coll::Tree& tree,
                                           const void* send, void* recv,
@@ -76,12 +60,7 @@ sim::CoTask Communicator::zoo_node_reduce(machine::TaskCtx& t,
     }
   }
   // Slot-parity bookkeeping, advanced identically on every rank.
-  RankState& rs = rank_state(t);
-  for (int l = 0; l < t.nlocal(); ++l) {
-    if (l != leader_local) {
-      rs.smp_red_base[static_cast<std::size_t>(l)] += nchunks;
-    }
-  }
+  finish_reduce_bookkeeping(t, tree, nchunks, /*mapped=*/false, nullptr);
 }
 
 sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t,
@@ -257,7 +236,7 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
   }
 
   // Publish the full vector to the local tasks.
-  co_await zoo_publish(t, 0, recv, recv, bytes);
+  co_await smp_publish(t, 0, recv, recv, bytes);
 
   // Streamed-chunk parity bookkeeping, advanced identically on every rank.
   if (n > 1) {
@@ -473,7 +452,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
     my_ep.set_interrupts(true);
   }
 
-  co_await zoo_publish(t, 0, recv, recv, bytes);
+  co_await smp_publish(t, 0, recv, recv, bytes);
 }
 
 sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
@@ -488,7 +467,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
   auto* base = static_cast<std::byte*>(buf);
 
   if (n == 1) {
-    co_await zoo_publish(t, leader_local, buf, buf, bytes);
+    co_await smp_publish(t, leader_local, buf, buf, bytes);
     co_return;
   }
 
@@ -514,7 +493,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     for (int s = 0; s < n; ++s) {
       int b = (v - s + n) % n;
       if (blen(b) == 0) continue;
-      co_await zoo_publish(t, leader_local, nullptr, base + blo(b), blen(b));
+      co_await smp_publish(t, leader_local, nullptr, base + blo(b), blen(b));
     }
     co_return;
   }
@@ -577,7 +556,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
       int b = (v - s + n) % n;
       if (blen(b) == 0) continue;
       if (send_ring && s <= n - 2) co_await forward(b);
-      co_await zoo_publish(t, leader_local, base + blo(b), base + blo(b),
+      co_await smp_publish(t, leader_local, base + blo(b), base + blo(b),
                            blen(b));
     }
   } else {
@@ -597,7 +576,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
       co_await my_ep.wait_cntr(*ns.zoo_arr[static_cast<std::size_t>(root_node)],
                                1);
       if (send_ring) co_await forward(v);
-      co_await zoo_publish(t, leader_local, base + blo(v), base + blo(v),
+      co_await smp_publish(t, leader_local, base + blo(v), base + blo(v),
                            blen(v));
     }
     // Ring arrivals: block (v - s) lands at step s; forward it (unless we
@@ -607,7 +586,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
       if (blen(b) == 0) continue;
       co_await my_ep.wait_cntr(*ns.zoo_got[static_cast<std::size_t>(pred)], 1);
       if (send_ring && s <= n - 2) co_await forward(b);
-      co_await zoo_publish(t, leader_local, base + blo(b), base + blo(b),
+      co_await smp_publish(t, leader_local, base + blo(b), base + blo(b),
                            blen(b));
     }
   }

@@ -35,19 +35,11 @@ class MemorySystem {
                                     : nullptr) {}
 
   /// Virtual-time cost of copying @p bytes (startup + contended stream).
-  sim::CoTask charge_copy(double bytes) {
-    ++copies_;
-    copy_bytes_ += bytes;
-    if (copy_ctr_ != nullptr) copy_ctr_->add(bytes);
-    co_await eng_->sleep(p_.copy_startup);
-    co_await bus_.transfer(bytes);
-  }
-
-  /// Copy whose bus time is scaled by a topology/coherence factor (the
+  /// @p factor stretches the bus time for a topology/coherence penalty (the
   /// single-copy cross-mapped protocols: a pull across an L3 slice or socket
-  /// boundary, dearer again from a dirty line). Counters record the true
-  /// payload bytes; only the stream time stretches.
-  sim::CoTask charge_copy_scaled(double bytes, double factor) {
+  /// boundary, dearer again from a dirty line); counters record the true
+  /// payload bytes either way.
+  sim::CoTask charge_copy(double bytes, double factor = 1.0) {
     ++copies_;
     copy_bytes_ += bytes;
     if (copy_ctr_ != nullptr) copy_ctr_->add(bytes);
@@ -55,26 +47,14 @@ class MemorySystem {
     co_await bus_.transfer(bytes * factor);
   }
 
-  /// Combine variant of charge_copy_scaled (same accounting rules).
-  sim::CoTask charge_combine_scaled(double bytes, double factor) {
+  /// Virtual-time cost of combining @p bytes with a reduction operator
+  /// (same @p factor rule as charge_copy).
+  sim::CoTask charge_combine(double bytes, double factor = 1.0) {
     ++combines_;
     combine_bytes_ += bytes;
     if (combine_ctr_ != nullptr) combine_ctr_->add(bytes);
     co_await eng_->sleep(p_.copy_startup);
     co_await bus_.transfer(bytes * factor);
-    double extra_sec = bytes / p_.reduce_bw_per_cpu - bytes / p_.copy_bw_per_cpu;
-    if (extra_sec > 0.0) {
-      co_await eng_->sleep(static_cast<sim::Duration>(extra_sec * 1e9));
-    }
-  }
-
-  /// Virtual-time cost of combining @p bytes with a reduction operator.
-  sim::CoTask charge_combine(double bytes) {
-    ++combines_;
-    combine_bytes_ += bytes;
-    if (combine_ctr_ != nullptr) combine_ctr_->add(bytes);
-    co_await eng_->sleep(p_.copy_startup);
-    co_await bus_.transfer(bytes);
     // Extra compute time beyond what the memory stream already charged.
     double extra_sec = bytes / p_.reduce_bw_per_cpu - bytes / p_.copy_bw_per_cpu;
     if (extra_sec > 0.0) {

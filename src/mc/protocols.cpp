@@ -652,8 +652,12 @@ struct Builder {
 
   /// Single-copy reduce: leaves export their send buffers once; with >= 3
   /// tasks local 1 is the interior vertex combining leaf windows into its
-  /// sc_acc slot pair (gated like red_slot); the leader combines out of the
-  /// relay's slots (or the leaf window directly) with no staging copy.
+  /// accumulator slot pair (gated like red_slot); the leader combines out of
+  /// the relay's slots (or the leaf window directly) with no staging copy.
+  /// In core/ the relay writes the shared red_slot pair that staged reduces
+  /// use too; this model keeps its own `acc` pair so the mapped handshake
+  /// is verified on its own, a modelling choice rather than a second slot
+  /// pair in the protocol.
   int sc_reduce() {
     int res = p.buf(id("res0"));
     auto win = [&](int n, int l) {

@@ -213,7 +213,11 @@ sim::CoTask Comm::recv(int src, int tag, void* buf, std::size_t bytes) {
         pipe.wq.notify();
         co_await ctx_->delay(mp_->shm_per_chunk);
         co_await ctx_->nd->mem.charge_copy(static_cast<double>(chunk.size()));
-        std::memcpy(dstp + off, chunk.data(), chunk.size());
+        // A zero-byte message still moves one (empty) chunk and pays its
+        // charge, but has no buffer to copy between.
+        if (!chunk.empty()) {
+          std::memcpy(dstp + off, chunk.data(), chunk.size());
+        }
         off += chunk.size();
       } while (off < bytes);
       break;

@@ -84,7 +84,8 @@ class Mapping {
     ++s.pub_count;
     if (chk::on(t.chk) && bytes != 0) {
       t.chk.checker->register_region(
-          base, bytes, label_ + "/win" + std::to_string(t.local()));
+          base, bytes, label_ + "/win" + std::to_string(t.local()),
+          t.chk.actor);
       // The owner produced the window contents (program order) before this
       // export; recording the write here puts it before the release below,
       // so any peer read that skips the attach handshake — or lands after a
@@ -128,6 +129,10 @@ class Mapping {
     if (peers > 0) {
       co_await s.done.await_at_least(s.expected_done, &t.chk);
     }
+    // The buffer is private again: the checker keeps ordering the owner's
+    // reuse against the peers' reads, and forgets the region once the host
+    // hands the memory to another task.
+    if (chk::on(t.chk) && s.bytes != 0) t.chk.checker->retire_region(s.base);
     s.live = false;
     ++s.ret_count;
   }

@@ -63,6 +63,48 @@ TEST(ScheduleExplorer, SrmSingleNodeAndThinNodes) {
   expect_clean(opt, true);
 }
 
+TEST(ScheduleExplorer, MixedMappedAndStagedReducesShareSlotPair) {
+  // Mapped and staged reduces publish through the same red_slot pair per
+  // task: the mapped flag only changes where a leaf's chunk comes from. The
+  // reduce rows switch to mapped at 64 KB, so the sizes below alternate the
+  // modes across multi-chunk reduces and pipelined allreduces. On 2x8
+  // modern_smp nodes both the binomial tree and the topology tree have
+  // interior non-leader vertices, and the moving roots reshuffle which
+  // local is a leaf: a slot a staged leaf wrote is next written by a mapped
+  // interior vertex, and the reverse.
+  constexpr std::size_t kMappedFrom = 64 * 1024;
+  const auto bin = coll::TreeKind::binomial;
+  ExploreOptions opt;
+  opt.backend = ExploreBackend::srm;
+  opt.nodes = 2;
+  opt.tasks_per_node = 8;
+  opt.schedules = 16;
+  opt.seed_base = 1001;
+  opt.params = machine::MachineParams::modern_smp();
+  opt.srm.single_copy = true;
+  opt.srm.decisions.profile = "mixed";
+  opt.srm.decisions.set(coll::CollKind::reduce, 0,
+                        {coll::Algo::staged, false, bin});
+  opt.srm.decisions.set(coll::CollKind::reduce, kMappedFrom,
+                        {coll::Algo::staged, true, bin});
+  using Op = chk::ExploreOp;
+  // f64 elements; 2048 per 16 KB reduce chunk.
+  opt.plan = {
+      {Op::reduce, 5000, 0},      // staged, 3 chunks
+      {Op::reduce, 9000, 11},     // mapped, 5 chunks, root on node 1
+      {Op::reduce, 3000, 5},      // staged, 2 chunks
+      {Op::reduce, 8192, 14},     // mapped, 4 chunks
+      {Op::allreduce, 5000, 0},   // pipelined over a staged reduce
+      {Op::allreduce, 9000, 0},   // pipelined over a mapped reduce
+      {Op::reduce, 9000, 6},      // mapped
+      {Op::reduce, 5000, 9},      // staged
+      {Op::allreduce, 3000, 0},   // staged
+      {Op::reduce, 8192, 2},      // mapped
+      {Op::barrier, 0, 0},
+  };
+  expect_clean(opt, true);
+}
+
 TEST(ScheduleExplorer, MpiIbm2x2Sixteen) {
   ExploreOptions opt;
   opt.backend = ExploreBackend::mpi_ibm;

@@ -200,6 +200,39 @@ TEST(ShmMapping, RetractHandshakeOrdersOwnerReuse) {
   EXPECT_TRUE(cluster.checker().reports().empty());
 }
 
+// Simulated tasks share one host heap: once the owner retracted and freed
+// its buffer, the host may hand the same memory to another task's private
+// data. That task's accesses are not ordered with the old window's readers
+// and must not be reported against them.
+TEST(ShmMapping, RetractedWindowMemoryReusedByAnotherTaskIsNotARace) {
+  if (!chk::kEnabled) GTEST_SKIP() << "chk disabled in this build";
+  Cluster cluster(one_node(3));
+  cluster.checker().set_enabled(true);
+  shm::Mapping map(cluster.engine(), cluster.params().mem, 3, "reuse");
+  char buf[32] = {};
+
+  cluster.run([&](TaskCtx& t) -> CoTask {
+    if (t.local() == 0) {
+      co_await map.publish(t, buf, sizeof buf);
+      co_await map.retract(t, 1);
+    } else if (t.local() == 1) {
+      shm::Mapping::Window w;
+      co_await map.attach(t, 0, 1, &w);
+      chk::note_read(t.chk, w.data, w.bytes);
+      map.detach(t, 0);
+    } else {
+      // Task 2 never synchronizes with the window; it touches the memory
+      // only after the owner gave it up.
+      co_await t.delay(sim::us(50));
+      SRM_CHECK(!map.exported(0));
+      chk::note_write(t.chk, buf, sizeof buf);
+      chk::note_read(t.chk, buf, sizeof buf);
+    }
+  });
+
+  EXPECT_TRUE(cluster.checker().reports().empty());
+}
+
 // --- end-to-end through the mapped collectives -----------------------------
 
 SrmConfig mapped_cfg() {
