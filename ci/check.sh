@@ -31,8 +31,10 @@
 #                    bench_logs/ (figs 6-12, headline_claims, the abl_*
 #                    ablations) is re-run and the table part of its stdout
 #                    (everything before the instrumented/BENCH_JSON trailer)
-#                    must match the log byte for byte; also runnable alone
-#                    via `ci/check.sh figures`. Not part of `fast`.
+#                    must match the log byte for byte; the benches with a
+#                    log in bench_logs/symbolic/ are re-run under
+#                    SRM_SYMBOLIC=1 against it the same way; also runnable
+#                    alone via `ci/check.sh figures`. Not part of `fast`.
 #   2. sanitize    — ASan+UBSan build, full ctest
 #   2b. release    — CMAKE_BUILD_TYPE=Release (-O3) build under -Werror,
 #                    full ctest: optimizer-only warnings surface here
@@ -166,23 +168,35 @@ run_sa() {
   done
 }
 
+# Table part of a bench's stdout: stop at the trailer, drop trailing blank
+# lines.
+table_part() {
+  awk '
+    /^(instrumented|BENCH_JSON)/ { stop = 1 }
+    stop { next }
+    /^$/ { blank++; next }
+    { while (blank > 0) { print ""; blank-- } print }'
+}
+
 run_figures() {
   local dir="build-ci/default"
   echo "=== [figures] whole-figure tables vs bench_logs/ ==="
   cmake -B "$dir" -S . -DSRM_CHK=ON -DSRM_MC=ON >/dev/null
-  local logs=(bench_logs/*.txt) targets=() log
-  for log in "${logs[@]}"; do targets+=("$(basename "$log" .txt)"); done
+  local targets=() log
+  for log in bench_logs/*.txt bench_logs/symbolic/*.txt; do
+    targets+=("$(basename "$log" .txt)")
+  done
+  mapfile -t targets < <(printf '%s\n' "${targets[@]}" | sort -u)
   cmake --build "$dir" -j "$JOBS" --target "${targets[@]}" >/dev/null
-  local name failed=0
-  for name in "${targets[@]}"; do
-    # Table part: stop at the trailer, drop trailing blank lines. Benches
-    # write their JSON/trace artifacts into the working directory.
-    if ! diff -u "bench_logs/$name.txt" <(cd "$dir/bench" && "./$name" | awk '
-        /^(instrumented|BENCH_JSON)/ { stop = 1 }
-        stop { next }
-        /^$/ { blank++; next }
-        { while (blank > 0) { print ""; blank-- } print }'); then
-      echo "figure table drifted: $name (bench_logs/$name.txt)"
+  local name sym failed=0
+  for log in bench_logs/*.txt bench_logs/symbolic/*.txt; do
+    name="$(basename "$log" .txt)"
+    sym=0
+    [[ "$log" == bench_logs/symbolic/* ]] && sym=1
+    # Benches write their JSON/trace artifacts into the working directory.
+    if ! diff -u "$log" <(cd "$dir/bench" &&
+        SRM_SYMBOLIC="$sym" "./$name" | table_part); then
+      echo "figure table drifted: $name ($log)"
       failed=1
     fi
   done

@@ -1,5 +1,5 @@
-// API-boundary validation + signature dispatch for the Collectives entry
-// points.
+// API-boundary validation, the plane switch, and signature dispatch for the
+// Collectives entry points.
 //
 // Every invariant a backend used to assert deep inside protocol code is
 // checked here once, before dispatch: root range, send/recv dtype and
@@ -10,18 +10,26 @@
 // carrying {op, rank, field}.
 //
 // After validation each entry derives the call's CallSig from the side of
-// the operation that is significant on every rank, and routes the backend
-// task through dispatch(): the installed TraceSink (sv's recording shim)
-// sees the signature immediately; when obs tracing is on, the backend task
-// is additionally wrapped in a lazily-started "coll.<op>" span coroutine
-// whose args carry the signature — the wrapper uses symmetric transfer and
-// adds no engine events and no virtual time.
+// the operation that is significant on every rank and routes it (route()):
+// an empty block runs nothing, a symbolic one runs on the base's
+// sym::Transport, a real one goes to the backend's v_* hook, or for
+// allgather/reduce_scatter to the base's composition of two hooks. The
+// routed task then goes through dispatch(): the installed TraceSink (sv's
+// recording shim) sees the signature immediately; when obs tracing is on,
+// the task is additionally wrapped in a lazily-started "coll.<op>" span
+// coroutine whose args carry the signature — the wrapper uses symmetric
+// transfer and adds no engine events and no virtual time. A real call adds
+// no coroutine frame of its own: the backend's hook is the task.
 
 #include "coll/iface.hpp"
 
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
+#include "chk/chk.hpp"
 #include "obs/obs.hpp"
 
 namespace srm::coll {
@@ -133,7 +141,84 @@ sim::CoTask traced_call(machine::TaskCtx& t, CallSig sig, std::string algo,
   co_await inner;
 }
 
+// Process-lifetime copy of @p name: chk keeps stage-name pointers in its
+// access records, which can outlive the Collectives that opened the stage.
+const char* intern(std::string name) {
+  static std::mutex mu;
+  static std::set<std::string> names;
+  std::lock_guard<std::mutex> lock(mu);
+  return names.insert(std::move(name)).first->c_str();
+}
+
+sim::CoTask nothing() { co_return; }
+
 }  // namespace
+
+Collectives::Collectives(machine::Cluster& cluster, sym::Profile profile,
+                         std::string_view layer)
+    : sym_(cluster, profile) {
+  for (CollKind op : kAllOps) {
+    names_[static_cast<std::size_t>(op)] =
+        intern(std::string(layer) + "." + coll_name(op));
+  }
+}
+
+Collectives::RowKey Collectives::row_of(const CallSig& sig, int nranks) {
+  std::size_t bytes = sig.count * dtype_size(sig.dtype);
+  switch (sig.op) {
+    case CollKind::allgather:
+      return {CollKind::bcast, bytes * static_cast<std::size_t>(nranks)};
+    case CollKind::reduce_scatter:
+      return {CollKind::reduce, bytes * static_cast<std::size_t>(nranks)};
+    default:
+      return {sig.op, bytes};
+  }
+}
+
+template <class Real, class Symbolic>
+sim::CoTask Collectives::route(machine::TaskCtx& t, const CallSig& sig,
+                               Real real, Symbolic symbolic) {
+  if (sig.count == 0) return dispatch(t, sig, nothing());
+  if (sig.plane == Plane::symbolic) {
+    sym_used_ = true;
+    RowKey row = row_of(sig, t.nranks());
+    return dispatch(t, sig,
+                    layer_span(t, sig.op, symbolic(decide(row.op, row.bytes))));
+  }
+  real_used_ = true;
+  return dispatch(t, sig, real());
+}
+
+sim::CoTask Collectives::layer_span(machine::TaskCtx& t, CollKind op,
+                                    sim::CoTask inner) {
+  const char* name = names_[static_cast<std::size_t>(op)];
+  // cppcheck-suppress unreadVariable  // RAII: closes the span at frame exit
+  obs::Span span(*t.obs, t.rank, name);
+  chk::StageScope stage(t.chk, name);
+  co_await inner;
+}
+
+sim::CoTask Collectives::gather_bcast(machine::TaskCtx& t, Buf send,
+                                      Buf recv) {
+  co_await v_gather(t, send, recv, 0);
+  recv.count *= static_cast<std::size_t>(t.nranks());  // the whole image
+  co_await v_bcast(t, recv, 0);
+}
+
+sim::CoTask Collectives::reduce_then_scatter(machine::TaskCtx& t, Buf send,
+                                             Buf recv, RedOp op) {
+  // All nranks blocks reduce as one vector into rank 0, which scatters it.
+  send.count *= static_cast<std::size_t>(t.nranks());
+  std::vector<std::byte> tmp;
+  Buf acc = recv;
+  if (t.rank == 0) {
+    tmp.resize(send.block_bytes());
+    acc = Buf::wrap(tmp.data(), send.dtype, send.count);
+  }
+  co_await v_reduce(t, send, acc, op, 0);
+  co_await v_scatter(t, Buf::wrap(tmp.data(), recv.dtype, recv.count), recv,
+                     0);
+}
 
 sim::CoTask Collectives::dispatch(machine::TaskCtx& t, const CallSig& sig,
                                   sim::CoTask inner) {
@@ -147,7 +232,9 @@ sim::CoTask Collectives::bcast(machine::TaskCtx& t, Buf buf, int root) {
   VCtx c{CollKind::bcast, t.rank};
   check_root(c, t, root);
   check_buf(c, buf, 1, "buf");
-  return dispatch(t, sig_of(c.op, buf, root), v_bcast(t, buf, root));
+  return route(
+      t, sig_of(c.op, buf, root), [&] { return v_bcast(t, buf, root); },
+      [&](Decision d) { return sym_.bcast(t, buf, root, d); });
 }
 
 sim::CoTask Collectives::reduce(machine::TaskCtx& t, Buf send, Buf recv,
@@ -160,8 +247,10 @@ sim::CoTask Collectives::reduce(machine::TaskCtx& t, Buf send, Buf recv,
     check_pair(c, send, recv);
     check_buf(c, recv, 1, "recv");
   }
-  return dispatch(t, sig_of(c.op, send, root, static_cast<int>(op)),
-                  v_reduce(t, send, recv, op, root));
+  return route(
+      t, sig_of(c.op, send, root, static_cast<int>(op)),
+      [&] { return v_reduce(t, send, recv, op, root); },
+      [&](Decision d) { return sym_.reduce(t, send, recv, op, root, d); });
 }
 
 sim::CoTask Collectives::allreduce(machine::TaskCtx& t, Buf send, Buf recv,
@@ -171,11 +260,20 @@ sim::CoTask Collectives::allreduce(machine::TaskCtx& t, Buf send, Buf recv,
   check_pair(c, send, recv);
   check_buf(c, send, 1, "send");
   check_buf(c, recv, 1, "recv");
-  return dispatch(t, sig_of(c.op, send, kNoRoot, static_cast<int>(op)),
-                  v_allreduce(t, send, recv, op));
+  return route(
+      t, sig_of(c.op, send, kNoRoot, static_cast<int>(op)),
+      [&] { return v_allreduce(t, send, recv, op); },
+      [&](Decision d) { return sym_.allreduce(t, send, recv, op, d); });
 }
 
 sim::CoTask Collectives::barrier(machine::TaskCtx& t) {
+  if (sym_used_ && !real_used_) {
+    return dispatch(
+        t, CallSig{},
+        layer_span(t, CollKind::barrier,
+                   sym_.barrier(t, decide(CollKind::barrier, 0))));
+  }
+  real_used_ = true;
   return dispatch(t, CallSig{}, v_barrier(t));
 }
 
@@ -188,7 +286,10 @@ sim::CoTask Collectives::scatter(machine::TaskCtx& t, Buf send, Buf recv,
     check_pair(c, send, recv);
     check_buf(c, send, t.nranks(), "send");
   }
-  return dispatch(t, sig_of(c.op, recv, root), v_scatter(t, send, recv, root));
+  return route(
+      t, sig_of(c.op, recv, root),
+      [&] { return v_scatter(t, send, recv, root); },
+      [&](Decision) { return sym_.scatter(t, send, recv, root); });
 }
 
 sim::CoTask Collectives::gather(machine::TaskCtx& t, Buf send, Buf recv,
@@ -200,7 +301,10 @@ sim::CoTask Collectives::gather(machine::TaskCtx& t, Buf send, Buf recv,
     check_pair(c, send, recv);
     check_buf(c, recv, t.nranks(), "recv");
   }
-  return dispatch(t, sig_of(c.op, send, root), v_gather(t, send, recv, root));
+  return route(
+      t, sig_of(c.op, send, root),
+      [&] { return v_gather(t, send, recv, root); },
+      [&](Decision) { return sym_.gather(t, send, recv, root); });
 }
 
 sim::CoTask Collectives::allgather(machine::TaskCtx& t, Buf send, Buf recv) {
@@ -208,7 +312,10 @@ sim::CoTask Collectives::allgather(machine::TaskCtx& t, Buf send, Buf recv) {
   check_pair(c, send, recv);
   check_buf(c, send, 1, "send");
   check_buf(c, recv, t.nranks(), "recv");
-  return dispatch(t, sig_of(c.op, send), v_allgather(t, send, recv));
+  return route(
+      t, sig_of(c.op, send),
+      [&] { return layer_span(t, c.op, gather_bcast(t, send, recv)); },
+      [&](Decision d) { return sym_.allgather(t, send, recv, d); });
 }
 
 sim::CoTask Collectives::reduce_scatter(machine::TaskCtx& t, Buf send,
@@ -218,8 +325,12 @@ sim::CoTask Collectives::reduce_scatter(machine::TaskCtx& t, Buf send,
   check_pair(c, send, recv);
   check_buf(c, send, t.nranks(), "send");
   check_buf(c, recv, 1, "recv");
-  return dispatch(t, sig_of(c.op, recv, kNoRoot, static_cast<int>(op)),
-                  v_reduce_scatter(t, send, recv, op));
+  return route(
+      t, sig_of(c.op, recv, kNoRoot, static_cast<int>(op)),
+      [&] {
+        return layer_span(t, c.op, reduce_then_scatter(t, send, recv, op));
+      },
+      [&](Decision d) { return sym_.reduce_scatter(t, send, recv, op, d); });
 }
 
 }  // namespace srm::coll

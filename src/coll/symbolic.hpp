@@ -10,13 +10,14 @@
 // last chunk of each hop, so a correct run produces exactly the block
 // placement and (for movement ops) checksums a real-copy run would.
 //
-// Both backends drive the same runner with their own cost Profile: SRM uses
-// its config's chunking and LAPI-ish per-message overhead and passes its
-// Decision for every op; mini-MPI uses its per-call software overheads and
-// the default (binomial) Decision. Per-node coordination state is allocated
-// lazily per (node, op) and freed when the op's last local participant
-// finishes — memory stays O(nodes + active blocks) however large the
-// modeled message is.
+// It has a single caller: the plane switch in coll::Collectives (iface.cpp),
+// which owns one Transport per backend instance, built with that backend's
+// cost Profile (SRM: its config's network chunk and LAPI-ish per-message
+// overhead; mini-MPI: its per-call software overheads), and passes the
+// Decision the backend's decide() returns (the default binomial one for
+// mini-MPI). Per-node coordination state is allocated lazily per (node, op)
+// and freed when the op's last local participant finishes — memory stays
+// O(nodes + active blocks) however large the modeled message is.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +55,8 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  // All 8 ops over symbolic Bufs. Callers (backend v_* hooks) have already
-  // validated the descriptors at the API boundary. Every op whose skeleton
+  // All 8 ops over symbolic Bufs. The caller (coll::Collectives) has
+  // already validated the descriptors at the API boundary. Every op whose skeleton
   // walks a tree over nodes takes the backend's coll::Decision, so the
   // symbolic plane replays the algorithm and internode tree the real plane
   // would pick; the default Decision is the binomial reduce+bcast family.

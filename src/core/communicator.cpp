@@ -215,12 +215,14 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
 
 Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
                            SrmConfig cfg, std::string name)
-    : cluster_(&cluster),
+    : coll::Collectives(cluster,
+                        coll::sym::Profile{cluster.params().net.o_send,
+                                           cfg.bcast_net_chunk},
+                        "srm"),
+      cluster_(&cluster),
       fabric_(&fabric),
       cfg_(cfg),
-      name_(std::move(name)),
-      sym_(cluster, coll::sym::Profile{cluster.params().net.o_send,
-                                       cfg.bcast_net_chunk}) {
+      name_(std::move(name)) {
   ResolvedTable rt = resolve_table(cfg, cluster.params().profile);
   table_ = std::move(rt.table);
   // Record which precedence branch supplied the table. A mis-set
@@ -239,14 +241,11 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
   SRM_CHECK(cfg_.reduce_chunk > 0 && cfg_.reduce_chunk % 8 == 0);
   SRM_CHECK(cfg_.smp_buf_bytes >= cfg_.reduce_chunk);
   SRM_CHECK(cfg_.bcast_pipe_chunk > 0 && cfg_.bcast_net_chunk > 0);
-  // Only the per-rank scalar bookkeeping is eager; the per-node shared
-  // structures and per-link parity vectors wait for the first real op.
-  ranks_.resize(static_cast<std::size_t>(cluster.topology().nranks()));
 }
 
 void Communicator::ensure_real_state() {
-  if (real_ready_) return;
-  real_ready_ = true;
+  if (state_built_) return;
+  state_built_ = true;
   // The zoo block of NodeState is only worth its O(nodes) counters and
   // landing slots if some table row can actually route to a zoo algorithm.
   bool zoo = false;
@@ -265,6 +264,7 @@ void Communicator::ensure_real_state() {
         "srm/" + name_, cluster_->engine(), cluster_->params().mem, topo,
         cfg_, zoo, node.seg, "srm/" + name_));
   }
+  ranks_.resize(static_cast<std::size_t>(topo.nranks()));
   for (auto& r : ranks_) {
     r.red_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
     r.red_recvd.assign(static_cast<std::size_t>(topo.nodes()), 0);
@@ -288,170 +288,35 @@ coll::Decision Communicator::decide(coll::CollKind op,
 
 std::string Communicator::v_algo(const machine::TaskCtx& t,
                                  const coll::CallSig& sig) const {
-  std::size_t bytes = sig.count * coll::dtype_size(sig.dtype);
+  RowKey row = row_of(sig, t.nranks());
   // scatter/gather key their mapped switch on the node block they stage.
-  std::size_t key = bytes;
-  if (sig.op == coll::CollKind::scatter || sig.op == coll::CollKind::gather) {
-    key = bytes * static_cast<std::size_t>(t.nlocal());
+  if (row.op == coll::CollKind::scatter || row.op == coll::CollKind::gather) {
+    row.bytes *= static_cast<std::size_t>(t.nlocal());
   }
-  coll::Decision d = decide(sig.op, key);
+  coll::Decision d = decide(row.op, row.bytes);
   std::string algo = coll::algo_name(d.algo);
   // The "+sc" suffix marks calls whose intra-node phases run the mapped
-  // single-copy variants; composite ops (allreduce/allgather/...) consult
-  // their sub-operations' rows instead, so only the direct consumers of the
-  // mapped column report it.
-  bool consults_mapped = sig.op == coll::CollKind::bcast ||
-                         sig.op == coll::CollKind::reduce ||
-                         sig.op == coll::CollKind::scatter ||
-                         sig.op == coll::CollKind::gather;
+  // single-copy variants; allreduce consults its sub-operations' rows
+  // instead, so only the direct consumers of the mapped column report it.
+  bool consults_mapped = row.op == coll::CollKind::bcast ||
+                         row.op == coll::CollKind::reduce ||
+                         row.op == coll::CollKind::scatter ||
+                         row.op == coll::CollKind::gather;
   if (consults_mapped && cfg_.single_copy && d.mapped) algo += "+sc";
   return algo;
-}
-
-// ---------------------------------------------------------------------------
-// Plane dispatch (coll::Collectives hooks)
-// ---------------------------------------------------------------------------
-
-sim::CoTask Communicator::v_bcast(machine::TaskCtx& t, coll::Buf buf,
-                                  int root) {
-  if (buf.symbolic()) {
-    obs::Span span(*t.obs, t.rank, "srm.bcast");
-    chk::StageScope stage(t.chk, "srm.bcast");
-    rank_state(t).op_seq++;
-    sym_used_ = true;
-    co_await sym_.bcast(t, buf, root,
-                        decide(coll::CollKind::bcast, buf.count * buf.esize()));
-  } else {
-    if (buf.count != 0) ensure_real_state();
-    co_await real_bcast(t, buf.data, buf.count * buf.esize(), root);
-  }
-}
-
-sim::CoTask Communicator::v_reduce(machine::TaskCtx& t, coll::Buf send,
-                                   coll::Buf recv, coll::RedOp op, int root) {
-  if (send.symbolic()) {
-    obs::Span span(*t.obs, t.rank, "srm.reduce");
-    chk::StageScope stage(t.chk, "srm.reduce");
-    rank_state(t).op_seq++;
-    sym_used_ = true;
-    co_await sym_.reduce(
-        t, send, recv, op, root,
-        decide(coll::CollKind::reduce, send.count * send.esize()));
-  } else {
-    if (send.count != 0) ensure_real_state();
-    co_await real_reduce(t, send.data, recv.data, send.count, send.dtype, op,
-                         root);
-  }
-}
-
-sim::CoTask Communicator::v_allreduce(machine::TaskCtx& t, coll::Buf send,
-                                      coll::Buf recv, coll::RedOp op) {
-  if (send.symbolic()) {
-    obs::Span span(*t.obs, t.rank, "srm.allreduce");
-    chk::StageScope stage(t.chk, "srm.allreduce");
-    rank_state(t).op_seq++;
-    sym_used_ = true;
-    co_await sym_.allreduce(
-        t, send, recv, op,
-        decide(coll::CollKind::allreduce, send.count * send.esize()));
-  } else {
-    if (send.count != 0) ensure_real_state();
-    co_await real_allreduce(t, send.data, recv.data, send.count, send.dtype,
-                            op);
-  }
-}
-
-sim::CoTask Communicator::v_barrier(machine::TaskCtx& t) {
-  if (sym_used_ && !real_ready_) {
-    obs::Span span(*t.obs, t.rank, "srm.barrier");
-    chk::StageScope stage(t.chk, "srm.barrier");
-    rank_state(t).op_seq++;
-    co_await sym_.barrier(t, decide(coll::CollKind::barrier, 0));
-  } else {
-    ensure_real_state();
-    co_await real_barrier(t);
-  }
-}
-
-sim::CoTask Communicator::v_scatter(machine::TaskCtx& t, coll::Buf send,
-                                    coll::Buf recv, int root) {
-  if (recv.symbolic()) {
-    obs::Span span(*t.obs, t.rank, "srm.scatter");
-    chk::StageScope stage(t.chk, "srm.scatter");
-    rank_state(t).op_seq++;
-    sym_used_ = true;
-    co_await sym_.scatter(t, send, recv, root);
-  } else {
-    if (recv.count != 0) ensure_real_state();
-    co_await real_scatter(t, send.data, recv.data,
-                          recv.count * recv.esize(), root);
-  }
-}
-
-sim::CoTask Communicator::v_gather(machine::TaskCtx& t, coll::Buf send,
-                                   coll::Buf recv, int root) {
-  if (send.symbolic()) {
-    obs::Span span(*t.obs, t.rank, "srm.gather");
-    chk::StageScope stage(t.chk, "srm.gather");
-    rank_state(t).op_seq++;
-    sym_used_ = true;
-    co_await sym_.gather(t, send, recv, root);
-  } else {
-    if (send.count != 0) ensure_real_state();
-    co_await real_gather(t, send.data, recv.data,
-                         send.count * send.esize(), root);
-  }
-}
-
-sim::CoTask Communicator::v_allgather(machine::TaskCtx& t, coll::Buf send,
-                                      coll::Buf recv) {
-  if (send.symbolic()) {
-    obs::Span span(*t.obs, t.rank, "srm.allgather");
-    chk::StageScope stage(t.chk, "srm.allgather");
-    sym_used_ = true;
-    // The composite replays its broadcast phase over that phase's row.
-    std::size_t total = send.count * send.esize() *
-                        static_cast<std::size_t>(t.nranks());
-    co_await sym_.allgather(t, send, recv,
-                            decide(coll::CollKind::bcast, total));
-  } else {
-    if (send.count != 0) ensure_real_state();
-    co_await real_allgather(t, send.data, recv.data,
-                            send.count * send.esize());
-  }
-}
-
-sim::CoTask Communicator::v_reduce_scatter(machine::TaskCtx& t,
-                                           coll::Buf send, coll::Buf recv,
-                                           coll::RedOp op) {
-  if (send.symbolic()) {
-    obs::Span span(*t.obs, t.rank, "srm.reduce_scatter");
-    chk::StageScope stage(t.chk, "srm.reduce_scatter");
-    sym_used_ = true;
-    // The composite replays its reduce phase over that phase's row.
-    std::size_t total = recv.count * recv.esize() *
-                        static_cast<std::size_t>(t.nranks());
-    co_await sym_.reduce_scatter(t, send, recv, op,
-                                 decide(coll::CollKind::reduce, total));
-  } else {
-    if (recv.count != 0) ensure_real_state();
-    co_await real_reduce_scatter(t, send.data, recv.data, recv.count,
-                                 recv.dtype, op);
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Real plane
 // ---------------------------------------------------------------------------
 
-sim::CoTask Communicator::real_bcast(machine::TaskCtx& t, void* buf,
-                                     std::size_t bytes, int root) {
-  SRM_CHECK(root >= 0 && root < t.nranks());
-  SRM_CHECK(bytes == 0 || buf != nullptr);
+sim::CoTask Communicator::v_bcast(machine::TaskCtx& t, coll::Buf buf,
+                                  int root) {
+  ensure_real_state();
   obs::Span span(*t.obs, t.rank, "srm.bcast");
   chk::StageScope stage(t.chk, "srm.bcast");
   rank_state(t).op_seq++;
-  if (bytes == 0) co_return;
+  std::size_t bytes = buf.block_bytes();
   coll::Decision dec = decide(coll::CollKind::bcast, bytes);
   coll::Embedding emb =
       coll::embed(*t.topo, root, dec.internode, cfg_.intranode_tree);
@@ -461,72 +326,71 @@ sim::CoTask Communicator::real_bcast(machine::TaskCtx& t, void* buf,
   if (manage) ep(t.rank).set_interrupts(false);
   switch (dec.algo) {
     case coll::Algo::staged:
-      co_await bcast_small(t, buf, bytes, emb);
+      co_await bcast_small(t, buf.data, bytes, emb);
       break;
     case coll::Algo::scatter_ag:
-      co_await bcast_scatter_ag(t, buf, bytes, emb);
+      co_await bcast_scatter_ag(t, buf.data, bytes, emb);
       break;
     default:
-      co_await bcast_large(t, buf, bytes, emb, cfg_.bcast_net_chunk, nullptr);
+      co_await bcast_large(t, buf.data, bytes, emb, cfg_.bcast_net_chunk,
+                           nullptr);
       break;
   }
   if (manage) ep(t.rank).set_interrupts(true);
 }
 
-sim::CoTask Communicator::real_reduce(machine::TaskCtx& t, const void* send,
-                                      void* recv, std::size_t count,
-                                      coll::Dtype d, coll::RedOp op,
-                                      int root) {
-  SRM_CHECK(root >= 0 && root < t.nranks());
-  SRM_CHECK(send != recv);
+sim::CoTask Communicator::v_reduce(machine::TaskCtx& t, coll::Buf send,
+                                   coll::Buf recv, coll::RedOp op, int root) {
+  SRM_CHECK(send.data != recv.data);
+  ensure_real_state();
   obs::Span span(*t.obs, t.rank, "srm.reduce");
   chk::StageScope stage(t.chk, "srm.reduce");
   rank_state(t).op_seq++;
-  if (count == 0) co_return;
   // Interrupt management (§2.3): off during small-message collectives on the
   // tasks that face the network.
-  bool small = count * coll::dtype_size(d) <= cfg_.reduce_chunk;
+  bool small = send.block_bytes() <= cfg_.reduce_chunk;
   bool leader = t.node() == t.topo->node_of(root) ? t.rank == root
                                                   : t.is_master();
   bool manage = cfg_.manage_interrupts && small && leader && t.nnodes() > 1;
   if (manage) ep(t.rank).set_interrupts(false);
-  co_await reduce_impl(t, send, recv, count, d, op, root, nullptr);
+  co_await reduce_impl(t, send.data, recv.data, send.count, send.dtype, op,
+                       root, nullptr);
   if (manage) ep(t.rank).set_interrupts(true);
 }
 
-sim::CoTask Communicator::real_allreduce(machine::TaskCtx& t,
-                                         const void* send, void* recv,
-                                         std::size_t count, coll::Dtype d,
-                                         coll::RedOp op) {
-  SRM_CHECK(send != recv);
+sim::CoTask Communicator::v_allreduce(machine::TaskCtx& t, coll::Buf send,
+                                      coll::Buf recv, coll::RedOp op) {
+  SRM_CHECK(send.data != recv.data);
+  ensure_real_state();
   obs::Span span(*t.obs, t.rank, "srm.allreduce");
   chk::StageScope stage(t.chk, "srm.allreduce");
   rank_state(t).op_seq++;
-  if (count == 0) co_return;
-  std::size_t bytes = count * coll::dtype_size(d);
-  coll::Decision dec = decide(coll::CollKind::allreduce, bytes);
+  std::size_t count = send.count;
+  coll::Dtype d = send.dtype;
+  coll::Decision dec = decide(coll::CollKind::allreduce, send.block_bytes());
   switch (dec.algo) {
     case coll::Algo::rd: {
       bool leader = t.is_master();
       bool manage = cfg_.manage_interrupts && leader && t.nnodes() > 1;
       if (manage) ep(t.rank).set_interrupts(false);
-      co_await allreduce_rd(t, send, recv, count, d, op);
+      co_await allreduce_rd(t, send.data, recv.data, count, d, op);
       if (manage) ep(t.rank).set_interrupts(true);
       break;
     }
     case coll::Algo::ring:
-      co_await ring_allreduce(t, send, recv, count, d, op);
+      co_await ring_allreduce(t, send.data, recv.data, count, d, op);
       break;
     case coll::Algo::rhalving:
-      co_await rhalving_allreduce(t, send, recv, count, d, op);
+      co_await rhalving_allreduce(t, send.data, recv.data, count, d, op);
       break;
     default:
-      co_await allreduce_pipelined(t, send, recv, count, d, op);
+      co_await allreduce_pipelined(t, send.data, recv.data, count, d, op);
       break;
   }
 }
 
-sim::CoTask Communicator::real_barrier(machine::TaskCtx& t) {
+sim::CoTask Communicator::v_barrier(machine::TaskCtx& t) {
+  ensure_real_state();
   obs::Span span(*t.obs, t.rank, "srm.barrier");
   chk::StageScope stage(t.chk, "srm.barrier");
   rank_state(t).op_seq++;

@@ -7,15 +7,12 @@
 //   benches and examples use a Communicator and a mini-MPI World
 //   interchangeably.
 //
-// Descriptor dispatch: the public entry points live in coll::Collectives
-// (validated coll::Buf descriptors); the v_* hooks here route each call to
-// one of two planes —
-//  * real Bufs run the full protocols below over real shared segments and
-//    LAPI puts (first real op materializes the per-node state lazily);
-//  * symbolic Bufs run the shared sym::Transport cost skeleton with an SRM
-//    profile (the config's network chunk + LAPI-ish per-message overhead),
-//    allocating no per-rank payload memory — that is what makes 4096x64
-//    topologies routine.
+// Plane switch: coll::Collectives validates every call, runs symbolic and
+// empty ones itself (the shared symbolic cost skeleton, coll/symbolic.hpp,
+// with this communicator's cost profile — the config's network chunk and
+// the LAPI-ish per-message overhead — and decide()'s row), and composes
+// allgather/reduce_scatter from the hooks. The six v_* hooks here are the
+// real protocols: they see only real, non-empty descriptors.
 //
 // The first *real* operation allocates, per SMP node, the shared structures
 // of §2.2/§2.4:
@@ -43,7 +40,6 @@
 #include "coll/decision.hpp"
 #include "coll/iface.hpp"
 #include "coll/ops.hpp"
-#include "coll/symbolic.hpp"
 #include "coll/tree.hpp"
 #include "core/config.hpp"
 #include "lapi/lapi.hpp"
@@ -56,9 +52,10 @@ namespace srm {
 
 class Communicator final : public coll::Collectives {
  public:
-  /// Cheap to construct at any scale: per-node shared state materializes on
-  /// the first *real* operation (ensure_real_state). @p name namespaces the
-  /// shared segments so multiple communicators coexist.
+  /// Cheap to construct at any scale: per-node shared state and per-rank
+  /// bookkeeping materialize on the first *real* operation
+  /// (ensure_real_state). @p name namespaces the shared segments so
+  /// multiple communicators coexist.
   Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
                SrmConfig cfg = {}, std::string name = "srm0");
 
@@ -75,79 +72,51 @@ class Communicator final : public coll::Collectives {
   /// Resolved decision for (@p op, @p op_bytes): the table row passed
   /// through srm::sanitize (core/config.hpp). Deterministic in
   /// operation-level arguments, so every rank takes the same branch.
-  coll::Decision decide(coll::CollKind op, std::size_t op_bytes) const;
+  coll::Decision decide(coll::CollKind op,
+                        std::size_t op_bytes) const override;
 
  protected:
-  // coll::Collectives hooks: descriptors are already validated; these only
-  // pick the plane. Real descriptors run the paper protocols (real_*);
-  // symbolic descriptors run sym::Transport with the SRM cost profile.
+  // ---- the real plane: the paper's protocols over raw memory ----
+  //
+  // Beyond the paper's four operations, scatter and gather complete the
+  // common set (coll::Collectives composes allgather and reduce_scatter from
+  // them) using the same two building blocks: RMA puts straight into user
+  // buffers between node leaders, and shared-memory slice
+  // distribution/assembly inside nodes.
+
+  /// Broadcast @p buf from @p root into everyone's @p buf.
   sim::CoTask v_bcast(machine::TaskCtx& t, coll::Buf buf, int root) override;
+  /// Reduce element-wise with @p op; the result lands in @p recv at @p root
+  /// (ignored elsewhere). @p send and @p recv must not alias.
   sim::CoTask v_reduce(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                        coll::RedOp op, int root) override;
   sim::CoTask v_allreduce(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                           coll::RedOp op) override;
-  /// Barrier carries no payload, so the plane comes from history: real by
-  /// default (the paper's fetch-and-op protocol), symbolic once a symbolic
-  /// operation ran and no real op has materialized the shared state.
-  /// Collective calling order makes that choice uniform across ranks.
+  /// Synchronize all tasks (§2.2/§2.4 barrier).
   sim::CoTask v_barrier(machine::TaskCtx& t) override;
+  /// Scatter one block per rank from @p send at @p root into everyone's
+  /// @p recv. The root leader puts each node's block into that node's
+  /// landing buffers; local tasks copy out their slice.
   sim::CoTask v_scatter(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                         int root) override;
+  /// Gather one block per rank into @p recv at @p root (rank order). The
+  /// root announces its receive buffer; node leaders assemble their node
+  /// block in shared staging and put it straight into place.
   sim::CoTask v_gather(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                        int root) override;
-  sim::CoTask v_allgather(machine::TaskCtx& t, coll::Buf send,
-                          coll::Buf recv) override;
-  sim::CoTask v_reduce_scatter(machine::TaskCtx& t, coll::Buf send,
-                               coll::Buf recv, coll::RedOp op) override;
 
   /// Decision-table lookup for the obs span args: the sanitized algorithm
-  /// name, with "+sc" appended when the mapped single-copy variant runs.
+  /// name of the row the call runs (coll::Collectives::row_of: a composite
+  /// names its bcast or reduce phase), with "+sc" appended when the mapped
+  /// single-copy variant runs.
   std::string v_algo(const machine::TaskCtx& t,
                      const coll::CallSig& sig) const override;
 
  private:
-  // ---- real plane (the paper's protocols, raw memory) ----
-  //
-  // Beyond the paper's four operations, scatter, gather, allgather, and
-  // reduce_scatter complete the common set using the same two building
-  // blocks: RMA puts straight into user buffers between node leaders, and
-  // shared-memory slice distribution/assembly inside nodes.
-
-  /// Broadcast @p bytes from @p root's @p buf into everyone's @p buf.
-  sim::CoTask real_bcast(machine::TaskCtx& t, void* buf, std::size_t bytes,
-                         int root);
-  /// Reduce element-wise with @p op; the result lands in @p recv at @p root
-  /// (ignored elsewhere). @p send and @p recv must not alias.
-  sim::CoTask real_reduce(machine::TaskCtx& t, const void* send, void* recv,
-                          std::size_t count, coll::Dtype d, coll::RedOp op,
-                          int root);
-  sim::CoTask real_allreduce(machine::TaskCtx& t, const void* send,
-                             void* recv, std::size_t count, coll::Dtype d,
-                             coll::RedOp op);
-  /// Synchronize all tasks (§2.2/§2.4 barrier).
-  sim::CoTask real_barrier(machine::TaskCtx& t);
-  /// Scatter one @p bytes_per block per rank from @p send at @p root into
-  /// everyone's @p recv. The root leader puts each node's block into that
-  /// node's landing buffers; local tasks copy out their slice.
-  sim::CoTask real_scatter(machine::TaskCtx& t, const void* send, void* recv,
-                           std::size_t bytes_per, int root);
-  /// Gather @p bytes_per per rank into @p recv at @p root (rank order).
-  /// The root announces its receive buffer; node leaders assemble their
-  /// node block in shared staging and put it straight into place.
-  sim::CoTask real_gather(machine::TaskCtx& t, const void* send, void* recv,
-                          std::size_t bytes_per, int root);
-  /// Allgather: every rank ends with all blocks (gather to 0 + broadcast).
-  sim::CoTask real_allgather(machine::TaskCtx& t, const void* send,
-                             void* recv, std::size_t bytes_per);
-  /// Reduce-scatter with equal blocks: element-wise reduce, then scatter of
-  /// the @p count_per_rank-element blocks.
-  sim::CoTask real_reduce_scatter(machine::TaskCtx& t, const void* send,
-                                  void* recv, std::size_t count_per_rank,
-                                  coll::Dtype d, coll::RedOp op);
-
-  /// Build the per-node shared structures and per-rank link parities on the
-  /// first real operation. Symbolic-only runs never pay this — it is
-  /// O(nodes^2) counters/buffers (per-link state on every node).
+  /// Build the per-node shared structures and the per-rank bookkeeping on
+  /// the first real operation. Symbolic-only runs never pay this — it is
+  /// O(nodes^2) counters/buffers (per-link state on every node) plus one
+  /// RankState per rank.
   void ensure_real_state();
   // ---- per-node shared state (lives in the node's shm segment) ----
   struct NodeState {
@@ -274,7 +243,7 @@ class Communicator final : public coll::Collectives {
   // define each slot cycle.
   struct RankState {
     std::uint64_t smp_bc_seq = 0;   // SMP bcast chunks processed (A/B parity)
-    std::uint64_t op_seq = 0;       // collective ops issued (RD slot parity)
+    std::uint64_t op_seq = 0;       // real ops issued (RD slot parity)
     // Cumulative reduce chunks my node sent to / received from each peer
     // node (inter-node landing-slot parity).
     std::vector<std::uint64_t> red_sent;
@@ -505,11 +474,9 @@ class Communicator final : public coll::Collectives {
   SrmConfig cfg_;
   coll::DecisionTable table_;  // resolved at construction (decide())
   std::string name_;
-  coll::sym::Transport sym_;       // symbolic plane (SRM cost profile)
-  bool real_ready_ = false;        // per-node shared state materialized?
-  bool sym_used_ = false;          // any symbolic op dispatched yet?
+  bool state_built_ = false;       // per-node and per-rank state built?
   std::vector<NodeState*> nodes_;  // owned by each node's segment
-  std::vector<RankState> ranks_;
+  std::vector<RankState> ranks_;   // built with nodes_
 };
 
 }  // namespace srm

@@ -1,4 +1,4 @@
-// SRM scatter / gather / allgather / reduce_scatter.
+// SRM scatter / gather.
 //
 // These extend the paper's operation set using its two building blocks:
 //
@@ -14,9 +14,9 @@
 //    leader puts finished chunks straight into their final location in the
 //    root's buffer — no intermediate copies on the network path.
 //
-//  * allgather  = gather to rank 0 + broadcast (the composition benefits
-//    from both optimized halves);
-//  * reduce_scatter = reduce to rank 0 + scatter.
+// coll::Collectives composes allgather (gather to rank 0 + broadcast) and
+// reduce_scatter (reduce to rank 0 + scatter) from these and the paper's
+// operations, so both benefit from the optimized halves.
 #include <cstring>
 #include <deque>
 
@@ -25,15 +25,16 @@
 
 namespace srm {
 
-sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
-                                       void* recv, std::size_t bytes_per,
-                                       int root) {
+sim::CoTask Communicator::v_scatter(machine::TaskCtx& t, coll::Buf sbuf,
+                                    coll::Buf rbuf, int root) {
   // Root range / descriptor invariants are enforced at the API boundary
   // (coll::Collectives); this plane only runs the protocol.
+  ensure_real_state();
   obs::Span span(*t.obs, t.rank, "srm.scatter");
   chk::StageScope stage(t.chk, "srm.scatter");
   rank_state(t).op_seq++;
-  if (bytes_per == 0) co_return;
+  const void* send = sbuf.data;
+  void* recv = rbuf.data;
 
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
@@ -43,7 +44,7 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
       my_node == root_node ? t.topo->local_of(root) : 0;
   bool is_leader = t.local() == leader_local;
 
-  std::size_t block = bytes_per;                   // one rank's data
+  std::size_t block = rbuf.block_bytes();          // one rank's data
   std::size_t node_block = block * static_cast<std::size_t>(t.nlocal());
   std::size_t chunk = cfg_.smp_buf_bytes;
   std::size_t nchunks = detail::chunk_count(node_block, chunk);
@@ -168,13 +169,14 @@ sim::CoTask Communicator::real_scatter(machine::TaskCtx& t, const void* send,
   }
 }
 
-sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
-                                      void* recv, std::size_t bytes_per,
-                                      int root) {
+sim::CoTask Communicator::v_gather(machine::TaskCtx& t, coll::Buf sbuf,
+                                   coll::Buf rbuf, int root) {
+  ensure_real_state();
   obs::Span span(*t.obs, t.rank, "srm.gather");
   chk::StageScope stage(t.chk, "srm.gather");
   rank_state(t).op_seq++;
-  if (bytes_per == 0) co_return;
+  const void* send = sbuf.data;
+  void* recv = rbuf.data;
 
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
@@ -183,7 +185,7 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   int leader_local = my_node == root_node ? t.topo->local_of(root) : 0;
   bool is_leader = t.local() == leader_local;
 
-  std::size_t block = bytes_per;
+  std::size_t block = sbuf.block_bytes();
   std::size_t node_block = block * static_cast<std::size_t>(t.nlocal());
   std::size_t chunk = cfg_.smp_buf_bytes;
   std::size_t nchunks = detail::chunk_count(node_block, chunk);
@@ -351,31 +353,6 @@ sim::CoTask Communicator::real_gather(machine::TaskCtx& t, const void* send,
   }
 
   rs.ga_seq += nchunks;
-}
-
-sim::CoTask Communicator::real_allgather(machine::TaskCtx& t,
-                                         const void* send, void* recv,
-                                         std::size_t bytes_per) {
-  obs::Span span(*t.obs, t.rank, "srm.allgather");
-  chk::StageScope stage(t.chk, "srm.allgather");
-  co_await real_gather(t, send, recv, bytes_per, 0);
-  co_await real_bcast(t, recv,
-                      bytes_per * static_cast<std::size_t>(t.nranks()), 0);
-}
-
-sim::CoTask Communicator::real_reduce_scatter(machine::TaskCtx& t,
-                                              const void* send, void* recv,
-                                              std::size_t count_per_rank,
-                                              coll::Dtype d, coll::RedOp op) {
-  obs::Span span(*t.obs, t.rank, "srm.reduce_scatter");
-  chk::StageScope stage(t.chk, "srm.reduce_scatter");
-  std::size_t total = count_per_rank * static_cast<std::size_t>(t.nranks());
-  std::vector<std::byte> tmp;
-  if (t.rank == 0) tmp.resize(total * coll::dtype_size(d));
-  co_await real_reduce(t, send, t.rank == 0 ? tmp.data() : recv, total, d, op,
-                       0);
-  co_await real_scatter(t, tmp.data(), recv,
-                        count_per_rank * coll::dtype_size(d), 0);
 }
 
 }  // namespace srm

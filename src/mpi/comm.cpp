@@ -461,24 +461,6 @@ sim::CoTask Comm::gather(const void* sendbuf, void* recvbuf,
   }
 }
 
-sim::CoTask Comm::allgather(const void* sendbuf, void* recvbuf,
-                            std::size_t bytes_per) {
-  co_await gather(sendbuf, recvbuf, bytes_per, 0);
-  co_await bcast(recvbuf, bytes_per * static_cast<std::size_t>(nranks()), 0);
-}
-
-sim::CoTask Comm::reduce_scatter(const void* sendbuf, void* recvbuf,
-                                 std::size_t count_per_rank, coll::Dtype d,
-                                 coll::RedOp op) {
-  std::size_t total = count_per_rank * static_cast<std::size_t>(nranks());
-  std::vector<std::byte> tmp;
-  if (rank() == 0) tmp.resize(total * coll::dtype_size(d));
-  co_await reduce(sendbuf, rank() == 0 ? tmp.data() : recvbuf, total, d, op,
-                  0);
-  co_await scatter(tmp.data(), recvbuf, count_per_rank * coll::dtype_size(d),
-                   0);
-}
-
 // ---------------------------------------------------------------------------
 // World: the Collectives face — forward to the calling rank's Comm under an
 // "mpi.*" span.
@@ -486,110 +468,59 @@ sim::CoTask Comm::reduce_scatter(const void* sendbuf, void* recvbuf,
 
 sim::CoTask World::v_bcast(machine::TaskCtx& t, coll::Buf buf, int root) {
   obs::Span span(*t.obs, t.rank, "mpi.bcast");
-  if (buf.symbolic()) {
-    sym_used_ = true;
-    co_await sym_.bcast(t, buf, root);
-  } else {
-    co_await comm(t.rank).bcast(buf.data, buf.count * buf.esize(), root);
-  }
+  co_await comm(t.rank).bcast(buf.data, buf.block_bytes(), root);
 }
 
 sim::CoTask World::v_reduce(machine::TaskCtx& t, coll::Buf send,
                             coll::Buf recv, coll::RedOp op, int root) {
   obs::Span span(*t.obs, t.rank, "mpi.reduce");
-  if (send.symbolic()) {
-    sym_used_ = true;
-    co_await sym_.reduce(t, send, recv, op, root);
-  } else {
-    co_await comm(t.rank).reduce(send.data, recv.data, send.count, send.dtype,
-                                 op, root);
-  }
+  co_await comm(t.rank).reduce(send.data, recv.data, send.count, send.dtype,
+                               op, root);
 }
 
 sim::CoTask World::v_allreduce(machine::TaskCtx& t, coll::Buf send,
                                coll::Buf recv, coll::RedOp op) {
   obs::Span span(*t.obs, t.rank, "mpi.allreduce");
-  if (send.symbolic()) {
-    sym_used_ = true;
-    co_await sym_.allreduce(t, send, recv, op);
-  } else {
-    co_await comm(t.rank).allreduce(send.data, recv.data, send.count,
-                                    send.dtype, op);
-  }
+  co_await comm(t.rank).allreduce(send.data, recv.data, send.count,
+                                  send.dtype, op);
 }
 
 sim::CoTask World::v_barrier(machine::TaskCtx& t) {
   obs::Span span(*t.obs, t.rank, "mpi.barrier");
-  if (sym_used_ && !real_used_) {
-    co_await sym_.barrier(t);
-  } else {
-    co_await comm(t.rank).barrier();
-  }
+  co_await comm(t.rank).barrier();
 }
 
 sim::CoTask World::v_scatter(machine::TaskCtx& t, coll::Buf send,
                              coll::Buf recv, int root) {
   obs::Span span(*t.obs, t.rank, "mpi.scatter");
-  if (recv.symbolic()) {
-    sym_used_ = true;
-    co_await sym_.scatter(t, send, recv, root);
-  } else {
-    co_await comm(t.rank).scatter(send.data, recv.data,
-                                  recv.count * recv.esize(), root);
-  }
+  co_await comm(t.rank).scatter(send.data, recv.data, recv.block_bytes(),
+                                root);
 }
 
 sim::CoTask World::v_gather(machine::TaskCtx& t, coll::Buf send,
                             coll::Buf recv, int root) {
   obs::Span span(*t.obs, t.rank, "mpi.gather");
-  if (send.symbolic()) {
-    sym_used_ = true;
-    co_await sym_.gather(t, send, recv, root);
-  } else {
-    co_await comm(t.rank).gather(send.data, recv.data,
-                                 send.count * send.esize(), root);
-  }
-}
-
-sim::CoTask World::v_allgather(machine::TaskCtx& t, coll::Buf send,
-                               coll::Buf recv) {
-  obs::Span span(*t.obs, t.rank, "mpi.allgather");
-  if (send.symbolic()) {
-    sym_used_ = true;
-    co_await sym_.allgather(t, send, recv);
-  } else {
-    co_await comm(t.rank).allgather(send.data, recv.data,
-                                    send.count * send.esize());
-  }
-}
-
-sim::CoTask World::v_reduce_scatter(machine::TaskCtx& t, coll::Buf send,
-                                    coll::Buf recv, coll::RedOp op) {
-  obs::Span span(*t.obs, t.rank, "mpi.reduce_scatter");
-  if (send.symbolic()) {
-    sym_used_ = true;
-    co_await sym_.reduce_scatter(t, send, recv, op);
-  } else {
-    co_await comm(t.rank).reduce_scatter(send.data, recv.data, recv.count,
-                                         recv.dtype, op);
-  }
+  co_await comm(t.rank).gather(send.data, recv.data, send.block_bytes(),
+                               root);
 }
 
 // ---------------------------------------------------------------------------
 
 World::World(machine::Cluster& cluster, const machine::MpiParams& profile,
              std::string name)
-    : cluster_(&cluster),
+    // Symbolic cost skeleton: every hop pays the MPI software stack
+    // (per-call + MPL/MPCI layering) as its per-message overhead; movement
+    // pipelines at the same default granularity the SRM plane uses.
+    : coll::Collectives(
+          cluster,
+          coll::sym::Profile{profile.call_overhead + profile.layer_overhead,
+                             64 * 1024},
+          "mpi"),
+      cluster_(&cluster),
       profile_(profile),
       name_(std::move(name)),
       eager_limit_(machine::MachineParams::eager_limit(
-          profile, cluster.topology().nranks())),
-      // Symbolic cost skeleton: every hop pays the MPI software stack
-      // (per-call + MPL/MPCI layering) as its per-message overhead; movement
-      // pipelines at the same default granularity the SRM plane uses.
-      sym_(cluster, coll::sym::Profile{
-                        profile.call_overhead + profile.layer_overhead,
-                        64 * 1024}) {
+          profile, cluster.topology().nranks())) {
   // Comms materialize lazily via comm() — a symbolic mega-scale World must
   // not pay per-rank point-to-point state for ranks that never message.
   comms_.resize(static_cast<std::size_t>(cluster.topology().nranks()));

@@ -28,7 +28,6 @@
 #include "coll/buf.hpp"
 #include "coll/iface.hpp"
 #include "coll/ops.hpp"
-#include "coll/symbolic.hpp"
 #include "machine/cluster.hpp"
 #include "sim/task.hpp"
 #include "sim/trigger.hpp"
@@ -83,17 +82,13 @@ class Comm {
   sim::CoTask barrier();
 
   /// Linear scatter/gather (the MPICH-1 algorithms: the root exchanges one
-  /// message with every other rank), equal counts.
+  /// message with every other rank), equal counts. World's Collectives face
+  /// composes allgather (gather + bcast) and reduce_scatter (reduce +
+  /// scatter) from these.
   sim::CoTask scatter(const void* sendbuf, void* recvbuf,
                       std::size_t bytes_per, int root);
   sim::CoTask gather(const void* sendbuf, void* recvbuf,
                      std::size_t bytes_per, int root);
-  /// Allgather as gather + broadcast; reduce_scatter as reduce + scatter.
-  sim::CoTask allgather(const void* sendbuf, void* recvbuf,
-                        std::size_t bytes_per);
-  sim::CoTask reduce_scatter(const void* sendbuf, void* recvbuf,
-                             std::size_t count_per_rank, coll::Dtype d,
-                             coll::RedOp op);
 
   machine::TaskCtx& ctx() noexcept { return *ctx_; }
   World& world() noexcept { return *world_; }
@@ -137,13 +132,14 @@ class Comm {
 };
 
 /// One Comm per rank plus the shared profile. World is the mini-MPI's face
-/// of the shared Collectives interface: real descriptors forward to the
-/// calling rank's Comm (and open an "mpi.*" span on that rank's timeline);
-/// symbolic descriptors run the shared sym::Transport cost skeleton with an
-/// MPI profile (per-call + layering software overhead per message), so
-/// benches drive SRM and MPI through the same virtual calls in either mode.
-/// Comms materialize on first use — symbolic runs never build the per-rank
-/// point-to-point machinery.
+/// of the shared Collectives interface: its hooks forward real descriptors
+/// to the calling rank's Comm under an "mpi.<op>" span on that rank's
+/// timeline. coll::Collectives runs symbolic calls itself, on the shared
+/// symbolic cost skeleton (coll/symbolic.hpp) with an MPI cost profile
+/// (per-call + layering software overhead per message) and the default
+/// binomial Decision, so benches drive SRM and MPI through the same
+/// virtual calls in either mode. Comms materialize on first use — symbolic
+/// runs never build the per-rank point-to-point machinery.
 class World final : public coll::Collectives {
  public:
   World(machine::Cluster& cluster, const machine::MpiParams& profile,
@@ -151,10 +147,7 @@ class World final : public coll::Collectives {
 
   Comm& comm(int rank) {
     auto& c = comms_.at(static_cast<std::size_t>(rank));
-    if (c == nullptr) {
-      c = std::make_unique<Comm>(*this, cluster_->ctx(rank));
-      real_used_ = true;
-    }
+    if (c == nullptr) c = std::make_unique<Comm>(*this, cluster_->ctx(rank));
     return *c;
   }
   machine::Cluster& cluster() noexcept { return *cluster_; }
@@ -165,33 +158,23 @@ class World final : public coll::Collectives {
   std::string label() const override { return "mpi/" + name_; }
 
  protected:
-  // ---- coll::Collectives hooks ----
+  // ---- coll::Collectives hooks (real plane) ----
   sim::CoTask v_bcast(machine::TaskCtx& t, coll::Buf buf, int root) override;
   sim::CoTask v_reduce(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                        coll::RedOp op, int root) override;
   sim::CoTask v_allreduce(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                           coll::RedOp op) override;
-  /// No payload to dispatch on: symbolic until the first real operation (or
-  /// direct comm() use), real after — uniform across ranks under collective
-  /// calling order.
   sim::CoTask v_barrier(machine::TaskCtx& t) override;
   sim::CoTask v_scatter(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                         int root) override;
   sim::CoTask v_gather(machine::TaskCtx& t, coll::Buf send, coll::Buf recv,
                        int root) override;
-  sim::CoTask v_allgather(machine::TaskCtx& t, coll::Buf send,
-                          coll::Buf recv) override;
-  sim::CoTask v_reduce_scatter(machine::TaskCtx& t, coll::Buf send,
-                               coll::Buf recv, coll::RedOp op) override;
 
  private:
   machine::Cluster* cluster_;
   machine::MpiParams profile_;
   std::string name_;
   std::size_t eager_limit_;
-  coll::sym::Transport sym_;
-  bool real_used_ = false;  // any Comm materialized (real plane touched)?
-  bool sym_used_ = false;   // any symbolic op dispatched yet?
   std::vector<std::unique_ptr<Comm>> comms_;
 };
 

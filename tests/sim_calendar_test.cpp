@@ -152,9 +152,6 @@ TEST(CalendarQueue, EngineFifoOrderPreserved) {
 }
 
 TEST(FramePool, RecyclesFrames) {
-#ifdef SRM_FRAME_POOL_DISABLED
-  GTEST_SKIP() << "frame pool passthrough under sanitizers";
-#else
   FramePool::reset_stats();
   Engine eng;
   auto tick = [](Engine& e) -> CoTask { co_await e.sleep(us(1)); };
@@ -167,7 +164,6 @@ TEST(FramePool, RecyclesFrames) {
   auto st = FramePool::stats();
   EXPECT_GT(st.allocs, 0u);
   EXPECT_GT(st.reused, st.allocs / 2);
-#endif
 }
 
 }  // namespace

@@ -242,17 +242,18 @@ TEST(MpiGatherScatter, AllgatherAndReduceScatter) {
   Cluster cluster(cc);
   minimpi::World world(cluster, cluster.params().mpi_mpich, "mpich");
   cluster.run([&](TaskCtx& t) -> CoTask {
-    auto& c = world.comm(t.rank);
     std::vector<double> mine(10, 1.0 * t.rank);
     std::vector<double> all(60, -1.0);
-    co_await c.allgather(mine.data(), all.data(), 10 * sizeof(double));
+    co_await world.allgather(t, coll::of(mine.data(), 10),
+                             coll::of(all.data(), 10));
     for (int r = 0; r < 6; ++r) {
       EXPECT_EQ(all[static_cast<std::size_t>(r) * 10], 1.0 * r);
     }
     std::vector<double> big(60, 1.0 * t.rank);
     std::vector<double> piece(10, -1.0);
-    co_await c.reduce_scatter(big.data(), piece.data(), 10,
-                              coll::Dtype::f64, coll::RedOp::sum);
+    co_await world.reduce_scatter(t, coll::of(big.data(), 10),
+                                  coll::of(piece.data(), 10),
+                                  coll::RedOp::sum);
     for (double v : piece) EXPECT_DOUBLE_EQ(v, 15.0);  // sum of ranks 0..5
   });
 }

@@ -5,9 +5,15 @@
 // (full-image checksum + window); reductions must agree element-exactly on
 // the sampled windows. This is what licenses trusting a mega-scale symbolic
 // run: on configurations where both planes fit, they are indistinguishable.
+//
+// The PlaneSwitch cases check the one plane switch in coll::Collectives on
+// both backends: which plane a payload-less barrier takes, and that neither
+// a symbolic-only run nor an empty real call builds real-plane state.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/communicator.hpp"
@@ -315,6 +321,97 @@ TEST(SymCrossChunked, BcastAcrossChunkBoundaries) {
     }
   }
 }
+
+// What the real plane leaves behind in an Env: SRM's per-node shared state,
+// materialized mini-MPI Comms (their send counters register at
+// construction), and LAPI or mini-MPI message traffic.
+struct RealFootprint {
+  bool srm_state = false;
+  bool mpi_comms = false;
+  std::uint64_t messages = 0;
+};
+
+RealFootprint footprint(Env& env) {
+  RealFootprint f;
+  for (int n = 0; n < kNodes; ++n) {
+    f.srm_state = f.srm_state || env.cluster.node(n).seg.contains("srm/srm0");
+  }
+  for (const std::string& name : env.cluster.obs().names()) {
+    bool mpi = name.rfind("mpi.send.", 0) == 0;
+    f.mpi_comms = f.mpi_comms || mpi;
+    if (mpi || name.rfind("lapi.", 0) == 0) {
+      f.messages += env.cluster.obs().count(name);
+    }
+  }
+  return f;
+}
+
+// Collective bcast of one 8-byte block from rank 0 on either plane.
+CoTask bcast8(coll::Collectives& c, TaskCtx& t, bool symbolic) {
+  if (symbolic) {
+    Payload pay(1, 8);
+    if (t.rank == 0) pay.fill_pattern(Dtype::kByte, 1);
+    co_await c.bcast(t, Buf::symbolic(pay, Dtype::kByte, 8), 0);
+  } else {
+    std::vector<std::byte> buf(8);
+    co_await c.bcast(t, Buf::bytes(buf.data(), 8), 0);
+  }
+}
+
+class PlaneSwitch : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PlaneSwitch, SymbolicOnlyRunKeepsBarrierSymbolic) {
+  Env env(GetParam());
+  env.cluster.run([&](TaskCtx& t) -> CoTask {
+    co_await bcast8(*env.coll, t, /*symbolic=*/true);
+    co_await env.coll->barrier(t);
+    co_await env.coll->barrier(t);
+  });
+  RealFootprint f = footprint(env);
+  EXPECT_FALSE(f.srm_state);
+  EXPECT_FALSE(f.mpi_comms);
+  EXPECT_EQ(f.messages, 0u);
+}
+
+TEST_P(PlaneSwitch, RealOpMakesLaterBarriersReal) {
+  Env env(GetParam());
+  env.cluster.run([&](TaskCtx& t) -> CoTask {
+    co_await bcast8(*env.coll, t, /*symbolic=*/false);
+    co_await bcast8(*env.coll, t, /*symbolic=*/true);
+  });
+  std::uint64_t before = footprint(env).messages;
+  EXPECT_GT(before, 0u);
+  env.cluster.run(
+      [&](TaskCtx& t) -> CoTask { co_await env.coll->barrier(t); });
+  EXPECT_GT(footprint(env).messages, before)
+      << "the barrier after a real op must run the real protocol";
+}
+
+TEST_P(PlaneSwitch, ZeroCountRealCallMaterializesNothing) {
+  Env env(GetParam());
+  env.cluster.run([&](TaskCtx& t) -> CoTask {
+    std::vector<double> none;
+    co_await env.coll->bcast(t, Buf::bytes(none.data(), 0), 0);
+    co_await env.coll->allreduce(t, coll::of(none.data(), 0),
+                                 coll::of(none.data(), 0), coll::RedOp::sum);
+    co_await env.coll->allgather(t, coll::of(none.data(), 0),
+                                 coll::of(none.data(), 0));
+    co_await env.coll->reduce_scatter(t, coll::of(none.data(), 0),
+                                      coll::of(none.data(), 0),
+                                      coll::RedOp::sum);
+  });
+  RealFootprint f = footprint(env);
+  EXPECT_FALSE(f.srm_state);
+  EXPECT_FALSE(f.mpi_comms);
+  EXPECT_EQ(f.messages, 0u);
+  EXPECT_EQ(env.cluster.engine().now(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PlaneSwitch, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "mpi" : "srm");
+    });
 
 }  // namespace
 }  // namespace srm
