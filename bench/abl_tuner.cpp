@@ -32,33 +32,12 @@ using namespace srm::bench;
 
 namespace {
 
-struct Candidate {
-  std::string label;
-  coll::Decision d;
-};
-
-std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
-  using coll::Algo;
-  using coll::TreeKind;
-  const auto bin = TreeKind::binomial;
-  std::vector<Candidate> out;
-  if (op == coll::CollKind::bcast) {
-    out.push_back({"staged", {Algo::staged, false, bin}});
-    out.push_back({"staged+bine", {Algo::staged, false, TreeKind::bine}});
-    out.push_back({"direct", {Algo::direct, false, bin}});
-    out.push_back({"scatter_ag", {Algo::scatter_ag, false, bin}});
-  } else {
-    // No rd+bine variant: recursive doubling is a butterfly, the internode
-    // tree never enters its dispatch.
-    out.push_back({"rd", {Algo::rd, false, bin}});
-    out.push_back({"pipeline", {Algo::pipeline, false, bin}});
-    out.push_back({"ring", {Algo::ring, false, bin}});
-    out.push_back({"rhalving", {Algo::rhalving, false, bin}});
-  }
-  // Candidates the sanitize step would reroute at this size are skipped.
-  std::erase_if(out, [op, bytes](const Candidate& c) {
-    return bytes > feasible_max(op, c.d.algo, SrmConfig{});
-  });
+/// The tuner's candidate menu without the mapped rows: this ablation runs
+/// with single-copy off.
+std::vector<Candidate> unmapped_candidates(coll::CollKind op,
+                                           std::size_t bytes) {
+  std::vector<Candidate> out = candidates(op, bytes);
+  std::erase_if(out, [](const Candidate& c) { return c.d.mapped; });
   return out;
 }
 
@@ -106,7 +85,9 @@ int main(int argc, char** argv) {
       // Columns from the smallest size's full candidate pool; sizes where a
       // candidate is sanitized away print 0 in its column.
       std::vector<std::string> cols;
-      for (const Candidate& c : candidates(op, 0)) cols.push_back(c.label);
+      for (const Candidate& c : unmapped_candidates(op, 0)) {
+        cols.push_back(c.label);
+      }
       cols.emplace_back("paper");
       cols.emplace_back("tuned");
       std::vector<std::string> rows;
@@ -121,7 +102,7 @@ int main(int argc, char** argv) {
         // Zoo candidates, each forced through a single-row table.
         const Candidate* best = nullptr;
         double best_us = 0.0;
-        std::vector<Candidate> cands = candidates(op, size);
+        std::vector<Candidate> cands = unmapped_candidates(op, size);
         for (const Candidate& c : cands) {
           SrmConfig cfg;
           cfg.decisions.profile = "forced";

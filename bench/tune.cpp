@@ -36,61 +36,6 @@ using namespace srm::bench;
 
 namespace {
 
-struct Candidate {
-  std::string label;  ///< "ring", "staged+bine", "staged+sc", ...
-  coll::Decision d;
-  bool needs_single_copy = false;  ///< mapped rows only bind when enabled
-};
-
-/// The candidate pool per operation. Candidates past their feasible_max at
-/// this size (rd above the exchange slot, staged bcast above the shared
-/// buffer) would be sanitized into a different algorithm, so they are
-/// skipped rather than measured under a false label.
-std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
-  using coll::Algo;
-  using coll::TreeKind;
-  const auto bin = TreeKind::binomial;
-  const auto bine = TreeKind::bine;
-  std::vector<Candidate> out;
-  switch (op) {
-    case coll::CollKind::bcast:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+bine", {Algo::staged, false, bine}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}, true});
-      out.push_back({"direct", {Algo::direct, false, bin}});
-      out.push_back({"direct+sc", {Algo::direct, true, bin}, true});
-      out.push_back({"scatter_ag", {Algo::scatter_ag, false, bin}});
-      break;
-    case coll::CollKind::reduce:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+bine", {Algo::staged, false, bine}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}, true});
-      break;
-    case coll::CollKind::allreduce:
-      // No rd+bine variant: recursive doubling is a butterfly, the
-      // internode tree never enters its dispatch.
-      out.push_back({"rd", {Algo::rd, false, bin}});
-      out.push_back({"pipeline", {Algo::pipeline, false, bin}});
-      out.push_back({"ring", {Algo::ring, false, bin}});
-      out.push_back({"rhalving", {Algo::rhalving, false, bin}});
-      break;
-    case coll::CollKind::scatter:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}, true});
-      break;
-    case coll::CollKind::gather:
-      out.push_back({"staged", {Algo::staged, false, bin}});
-      out.push_back({"staged+sc", {Algo::staged, true, bin}, true});
-      break;
-    default:
-      break;
-  }
-  std::erase_if(out, [op, bytes](const Candidate& c) {
-    return bytes > feasible_max(op, c.d.algo, SrmConfig{});
-  });
-  return out;
-}
-
 struct Setup {
   machine::MachineParams params;
   int nodes;
@@ -120,7 +65,7 @@ double measure(const Setup& s, coll::CollKind op, const Candidate& c,
   SrmConfig cfg;
   cfg.decisions.profile = "forced";
   cfg.decisions.set(op, 0, c.d);
-  if (c.needs_single_copy) cfg.single_copy = true;
+  if (c.d.mapped) cfg.single_copy = true;
   Bench b(Impl::srm, s.nodes, s.tpn, cfg, s.params);
   return run_op(b, op, bytes);
 }

@@ -135,6 +135,14 @@ sim::CoTask measured_body(
   end[static_cast<std::size_t>(t.rank)] = t.eng->now();
 }
 
+/// A 1-byte symbolic bcast from rank 0: gives a fresh communicator a
+/// symbolic history.
+sim::CoTask symbolic_history(machine::TaskCtx& t, coll::Collectives& c) {
+  coll::Payload pay(1, 1);
+  if (t.rank == 0) pay.fill_pattern(coll::Dtype::kByte, 1);
+  co_await c.bcast(t, coll::Buf::symbolic(pay, coll::Dtype::kByte, 1), 0);
+}
+
 }  // namespace
 
 double Bench::time_collective(
@@ -239,6 +247,17 @@ double Bench::time_allreduce(std::size_t count, int iters) {
 }
 
 double Bench::time_barrier(int iters) {
+  // The plane switch runs a barrier on the plane of the communicator's
+  // history, and a fresh Bench has none: in symbolic mode, one untimed
+  // symbolic call first makes the timed barriers symbolic.
+  if (symbolic_) {
+    if (sv_armed_) {
+      sv_frags_.push_back(
+          sv::call(sv::symbolic(sv::sig_bcast(coll::Dtype::kByte, 1, 0))));
+    }
+    cluster_->run(
+        [&](machine::TaskCtx& t) { return symbolic_history(t, *coll_); });
+  }
   return timed_sig(
       [](machine::TaskCtx& t, coll::Collectives& c) -> sim::CoTask {
         co_await c.barrier(t);
@@ -372,6 +391,51 @@ void Bench::emit_stats(const std::string& bench) const {
 void Bench::write_chrome_trace(const std::string& path) const {
   std::ofstream out(path);
   out << cluster_->obs().chrome_trace_json() << "\n";
+}
+
+std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes) {
+  using coll::Algo;
+  using coll::TreeKind;
+  const auto bin = TreeKind::binomial;
+  const auto bine = TreeKind::bine;
+  std::vector<Candidate> out;
+  switch (op) {
+    case coll::CollKind::bcast:
+      out.push_back({"staged", {Algo::staged, false, bin}});
+      out.push_back({"staged+bine", {Algo::staged, false, bine}});
+      out.push_back({"staged+sc", {Algo::staged, true, bin}});
+      out.push_back({"direct", {Algo::direct, false, bin}});
+      out.push_back({"direct+sc", {Algo::direct, true, bin}});
+      out.push_back({"scatter_ag", {Algo::scatter_ag, false, bin}});
+      break;
+    case coll::CollKind::reduce:
+      out.push_back({"staged", {Algo::staged, false, bin}});
+      out.push_back({"staged+bine", {Algo::staged, false, bine}});
+      out.push_back({"staged+sc", {Algo::staged, true, bin}});
+      break;
+    case coll::CollKind::allreduce:
+      // No rd+bine variant: recursive doubling is a butterfly, the
+      // internode tree never enters its dispatch.
+      out.push_back({"rd", {Algo::rd, false, bin}});
+      out.push_back({"pipeline", {Algo::pipeline, false, bin}});
+      out.push_back({"ring", {Algo::ring, false, bin}});
+      out.push_back({"rhalving", {Algo::rhalving, false, bin}});
+      break;
+    case coll::CollKind::scatter:
+      out.push_back({"staged", {Algo::staged, false, bin}});
+      out.push_back({"staged+sc", {Algo::staged, true, bin}});
+      break;
+    case coll::CollKind::gather:
+      out.push_back({"staged", {Algo::staged, false, bin}});
+      out.push_back({"staged+sc", {Algo::staged, true, bin}});
+      break;
+    default:
+      break;
+  }
+  std::erase_if(out, [op, bytes](const Candidate& c) {
+    return bytes > feasible_max(op, c.d.algo, SrmConfig{});
+  });
+  return out;
 }
 
 std::vector<std::size_t> size_sweep(std::size_t lo, std::size_t hi) {

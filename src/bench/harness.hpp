@@ -73,6 +73,8 @@ class Bench {
   double time_bcast(std::size_t bytes, int iters = 5);
   double time_reduce(std::size_t count_doubles, int iters = 5);
   double time_allreduce(std::size_t count_doubles, int iters = 5);
+  /// In symbolic mode, first one untimed 1-byte symbolic bcast, so the
+  /// plane switch times the symbolic barrier.
   double time_barrier(int iters = 10);
   double time_scatter(std::size_t bytes_per, int iters = 4);
   double time_gather(std::size_t bytes_per, int iters = 4);
@@ -140,6 +142,20 @@ std::vector<std::size_t> size_sweep(std::size_t lo = 8,
 
 /// The paper's processor configurations at 16 tasks/node.
 std::vector<int> cpu_sweep();  // {16, 32, 64, 128, 256}
+
+/// One algorithm the tuner times, forced through a single-row decision
+/// table. A mapped row (d.mapped) only binds with SrmConfig::single_copy on.
+struct Candidate {
+  std::string label;  ///< "ring", "staged+bine", "staged+sc", ...
+  coll::Decision d;
+};
+
+/// The tuner's candidate menu for @p op (bcast, reduce, allreduce, scatter,
+/// gather; empty for the rest). Candidates past their feasible_max at
+/// @p bytes (rd above the exchange slot, staged bcast above the shared
+/// buffer) would be sanitized into a different algorithm, so they are left
+/// out rather than measured under a false label.
+std::vector<Candidate> candidates(coll::CollKind op, std::size_t bytes);
 
 /// Print a series table: rows = sizes, one column per (labelled) series.
 void print_table(const std::string& title, const std::string& row_header,

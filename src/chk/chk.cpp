@@ -1,6 +1,7 @@
 #include "chk/chk.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -68,6 +69,26 @@ void Checker::set_enabled(bool on) { enabled_ = kEnabled && on; }
 void Checker::register_region(const void* base, std::size_t bytes,
                               std::string name, int owner) {
   if (!kEnabled || bytes == 0) return;
+  // A retired window's memory may come back from the host heap as this
+  // region (segment buffers are created mid-run too): its history belongs
+  // to the old owner's buffer, so drop every retired region it overlaps.
+  const char* lo = static_cast<const char*>(base);
+  auto it = regions_.lower_bound(base);
+  if (it != regions_.begin()) {
+    auto prev = std::prev(it);
+    if (static_cast<const char*>(prev->first) + prev->second.size > lo) {
+      it = prev;
+    }
+  }
+  while (it != regions_.end() &&
+         static_cast<const char*>(it->first) < lo + bytes) {
+    if (it->second.retired) {
+      forget_last_access(it->second);
+      it = regions_.erase(it);
+    } else {
+      ++it;
+    }
+  }
   Region rg;
   rg.name = std::move(name);
   rg.size = bytes;
@@ -155,13 +176,17 @@ Checker::Region* Checker::find_region(const void* p, std::size_t len,
   return &it->second;
 }
 
+void Checker::forget_last_access(const Region& rg) {
+  for (ActorState& a : actors_) {
+    if (a.last_access.rg == &rg) a.last_access.rg = nullptr;
+  }
+}
+
 Checker::Region* Checker::region_for(int actor, const void* p,
                                      std::size_t len, std::size_t& off) {
   Region* rg = find_region(p, len, off);
   if (rg == nullptr || !rg->retired || actor == rg->owner) return rg;
-  for (ActorState& a : actors_) {
-    if (a.last_access.rg == rg) a.last_access.rg = nullptr;
-  }
+  forget_last_access(*rg);
   regions_.erase(static_cast<const char*>(p) - off);
   return nullptr;
 }

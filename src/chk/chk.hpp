@@ -126,7 +126,8 @@ class Checker : public sim::BlockedInfoSource {
   /// Register @p bytes at @p base as a tracked shared region. Accesses to
   /// unregistered memory (private user buffers) are ignored. @p owner is
   /// the actor whose private memory the region exports (a shm::Mapping
-  /// window), or -1 for shared-segment memory.
+  /// window), or -1 for shared-segment memory. Retired regions the new one
+  /// overlaps are dropped: the host heap gave their memory back.
   void register_region(const void* base, std::size_t bytes, std::string name,
                        int owner = -1);
   /// The owner took the exported region at @p base back (window retract):
@@ -225,6 +226,9 @@ class Checker : public sim::BlockedInfoSource {
   /// another actor is dropped (its memory was recycled) and not returned.
   Region* region_for(int actor, const void* p, std::size_t len,
                      std::size_t& off);
+  /// Clear the deadlock-dump breadcrumbs that point at @p rg (before it is
+  /// erased).
+  void forget_last_access(const Region& rg);
   void check_access(Region& rg, const std::vector<Clock>& vc, int actor,
                     Clock epoch, std::size_t lo, std::size_t hi, Access k,
                     const std::vector<const char*>& stages);

@@ -37,7 +37,6 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   int leader = emb.leader[static_cast<std::size_t>(my_node)];
   int leader_local = t.topo->local_of(leader);
   int parent = emb.internode.parent[static_cast<std::size_t>(my_node)];
-  auto pi = static_cast<std::size_t>(parent < 0 ? 0 : parent);
   bool is_root_node = parent == -1;
 
   // Chunk geometry (§2.4): pipeline band only.
@@ -47,16 +46,13 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   }
   std::size_t nchunks = detail::chunk_count(bytes, chunk);
 
+  // Landing-slot sequence on the link from the parent.
+  std::uint64_t recv_seq = is_root_node ? 0 : link_seq(t, parent).bc_recv;
   auto finish_bookkeeping = [&] {
-    if (!is_root_node) rs.bc_recv[pi] += nchunks;
+    if (!is_root_node) link_seq(t, parent).bc_recv += nchunks;
     for (int child : emb.internode.children[static_cast<std::size_t>(my_node)]) {
-      rs.bc_sent[static_cast<std::size_t>(child)] += nchunks;
+      link_seq(t, child).bc_sent += nchunks;
     }
-  };
-
-  // Single-buffer ablation: the landing pair degenerates to one slot too.
-  auto link_slot = [this](std::uint64_t seq) {
-    return cfg_.use_two_buffers ? seq % 2 : std::size_t{0};
   };
 
   // Single-copy path: only the *root* node stages through the shared buffer
@@ -79,8 +75,8 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
       std::size_t len = std::min(chunk, bytes - off);
       const std::byte* shared_src = nullptr;
       if (!is_root_node) {
-        std::size_t lslot = link_slot(rs.bc_recv[pi] + c);
-        shared_src = ns.bc_land[pi][lslot].data();
+        shared_src =
+            landing(my_node, parent, kBcLand, link_slot(recv_seq + c));
       }
       co_await smp_bcast_chunk(t, leader_local, nullptr,
                                static_cast<std::byte*>(buf) + off, len,
@@ -107,28 +103,23 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
       data = static_cast<const std::byte*>(buf) + off;
     } else {
       // Wait for the parent's put to land in this link's buffer.
-      in_slot = link_slot(rs.bc_recv[pi] + c);
-      co_await my_ep.wait_cntr(*ns.bc_arrived[pi][in_slot], 1);
-      data = ns.bc_land[pi][in_slot].data();
+      in_slot = link_slot(recv_seq + c);
+      co_await my_ep.wait_cntr(link(my_node, parent).bc_arrived[in_slot], 1);
+      data = landing(my_node, parent, kBcLand, in_slot);
     }
 
     // Send down the tree first (nonblocking puts), then broadcast locally —
     // Fig. 4 steps 1 and 2.
     for (int child : kids) {
-      auto ci = static_cast<std::size_t>(child);
-      NodeState& cs = *nodes_[ci];
-      int child_leader = emb.leader[ci];
-      std::size_t out_slot = link_slot(rs.bc_sent[ci] + c);
-      co_await my_ep.wait_cntr(*ns.bc_free[ci][out_slot], 1);
+      std::size_t out_slot = link_slot(link_seq(t, child).bc_sent + c);
+      co_await my_ep.wait_cntr(link(my_node, child).bc_free[out_slot], 1);
       // Forwards from a landing buffer need no origin tracking: the buffer
       // cannot be overwritten before this put leaves (the parent's next put
       // is gated on a credit that follows it through the same NIC FIFO).
-      co_await my_ep.put(
-          ep(child_leader),
-          cs.bc_land[static_cast<std::size_t>(my_node)][out_slot].data(),
-          data, len,
-          cs.bc_arrived[static_cast<std::size_t>(my_node)][out_slot].get(),
-          is_root_node ? &org : nullptr);
+      co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(child)]),
+                         landing(child, my_node, kBcLand, out_slot), data, len,
+                         &link(child, my_node).bc_arrived[out_slot],
+                         is_root_node ? &org : nullptr);
       if (is_root_node) ++org_pending;
     }
 
@@ -148,11 +139,9 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
         if (l == leader_local) continue;
         co_await (*ns.bc_ready[flag_slot])[l].await_value(0, &t.chk);
       }
-      int parent_leader = emb.leader[pi];
-      NodeState& ps = *nodes_[pi];
       co_await my_ep.put_signal(
-          ep(parent_leader),
-          *ps.bc_free[static_cast<std::size_t>(my_node)][in_slot]);
+          ep(emb.leader[static_cast<std::size_t>(parent)]),
+          link(parent, my_node).bc_free[in_slot]);
     }
   }
   if (is_root_node && mapped) {
@@ -173,7 +162,6 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
                                       lapi::Counter* src_gate) {
   obs::Span span(*t.obs, t.rank, "bcast.large");
   chk::StageScope stage(t.chk, "bcast.large");
-  NodeState& ns = node_state(t);
   int my_node = t.node();
   int leader = emb.leader[static_cast<std::size_t>(my_node)];
   int leader_local = t.topo->local_of(leader);
@@ -205,15 +193,10 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
 
   // Stage 1 (initialization): leaves announce their user-buffer address to
   // the parent with a small put.
-  void* my_addr = buf;
   if (parent != -1) {
-    int parent_leader = emb.leader[static_cast<std::size_t>(parent)];
-    NodeState& ps = *nodes_[static_cast<std::size_t>(parent)];
-    co_await my_ep.put(
-        ep(parent_leader), &ps.bc_addr[static_cast<std::size_t>(my_node)],
-        &my_addr, sizeof(void*),
-        ps.bc_addr_arrived[static_cast<std::size_t>(my_node)].get(), &org);
-    ++org_pending;
+    co_await announce_addr(t, &Link::bc_addr, parent,
+                           emb.leader[static_cast<std::size_t>(parent)], buf,
+                           &org, org_pending);
   }
 
   std::vector<std::byte*> child_addr(kids.size(), nullptr);
@@ -223,8 +206,7 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
     std::size_t len = std::min(chunk, bytes - off);
     if (parent != -1) {
       // Stage 2: wait for this chunk to land in our user buffer.
-      co_await my_ep.wait_cntr(
-          *ns.bc_large_arrived[static_cast<std::size_t>(parent)], 1);
+      co_await my_ep.wait_cntr(link(my_node, parent).bc_large_arrived, 1);
     } else if (src_gate != nullptr) {
       // Pipelined allreduce: wait until the reduce phase finished this chunk.
       co_await my_ep.wait_cntr(*src_gate, 1);
@@ -232,17 +214,11 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
     // Forward straight from the user buffer — no intermediate buffers.
     for (std::size_t k = 0; k < kids.size(); ++k) {
       int child = kids[k];
-      NodeState& cs = *nodes_[static_cast<std::size_t>(child)];
-      if (c == 0) {
-        co_await my_ep.wait_cntr(
-            *ns.bc_addr_arrived[static_cast<std::size_t>(child)], 1);
-        child_addr[k] = static_cast<std::byte*>(
-            ns.bc_addr[static_cast<std::size_t>(child)]);
-      }
+      if (c == 0) co_await await_addr(t, &Link::bc_addr, child, child_addr[k]);
       co_await my_ep.put(
           ep(emb.leader[static_cast<std::size_t>(child)]), child_addr[k] + off,
           static_cast<const std::byte*>(buf) + off, len,
-          cs.bc_large_arrived[static_cast<std::size_t>(my_node)].get(), &org);
+          &link(child, my_node).bc_large_arrived, &org);
       ++org_pending;
     }
     // Stages 3/4: SMP broadcast of the arrived chunk, pipelined through the

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "util/align.hpp"
+#include "util/format.hpp"
 
 namespace srm {
 
@@ -18,6 +19,15 @@ std::string json_str(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+/// Name of per-link state: "<prefix>/<what><peer>", plus "_<slot>" for a
+/// slot of a pair.
+std::string link_label(const std::string& prefix, const char* what, int peer,
+                       int slot = -1) {
+  std::string s = util::cat(prefix, "/", what, std::to_string(peer));
+  if (slot >= 0) s = util::cat(s, "_", std::to_string(slot));
+  return s;
 }
 
 }  // namespace
@@ -39,8 +49,7 @@ ResolvedTable resolve_table(const SrmConfig& cfg, std::string_view profile) {
 Communicator::NodeState::NodeState(sim::Engine& eng,
                                    const machine::MemoryParams& mp,
                                    const machine::Topology& topo,
-                                   const SrmConfig& cfg, bool zoo,
-                                   shm::Segment& seg,
+                                   const SrmConfig& cfg, shm::Segment& seg,
                                    const std::string& prefix)
     : nlocal(topo.tasks_per_node()), nnodes(topo.nodes()) {
   auto counter = [&eng, &prefix](const std::string& label) {
@@ -77,48 +86,7 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
   bar_flag = std::make_unique<shm::FlagArray>(eng, mp, nlocal, 0,
                                               prefix + "/bar_flag");
 
-  // --- broadcast network state (per link, see header) ---
-  bc_land.resize(static_cast<std::size_t>(nnodes));
-  bc_arrived.resize(static_cast<std::size_t>(nnodes));
-  bc_free.resize(static_cast<std::size_t>(nnodes));
-  for (int p = 0; p < nnodes; ++p) {
-    for (int s = 0; s < 2; ++s) {
-      bc_land[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)] =
-          seg.buffer(prefix + "/bc_land" + std::to_string(p) + "_" +
-                         std::to_string(s),
-                     cfg.smp_buf_bytes);
-      std::string link = std::to_string(p) + "_" + std::to_string(s);
-      bc_arrived[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)] =
-          counter("bc_arrived" + link);
-      auto& cr =
-          bc_free[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)];
-      cr = counter("bc_free" + link);
-      cr->set(1);  // both remote landing buffers start free
-    }
-  }
-  bc_addr.assign(static_cast<std::size_t>(nnodes), nullptr);
-  bc_addr_arrived.resize(static_cast<std::size_t>(nnodes));
-  bc_large_arrived.resize(static_cast<std::size_t>(nnodes));
-  for (int p = 0; p < nnodes; ++p) {
-    bc_addr_arrived[static_cast<std::size_t>(p)] =
-        counter("bc_addr_arrived" + std::to_string(p));
-    bc_large_arrived[static_cast<std::size_t>(p)] =
-        counter("bc_large_arrived" + std::to_string(p));
-  }
-
-  // --- reduce network state ---
-  red_land.resize(static_cast<std::size_t>(nnodes));
-  red_arrived.resize(static_cast<std::size_t>(nnodes));
-  for (int c = 0; c < nnodes; ++c) {
-    for (int s = 0; s < 2; ++s) {
-      red_land[static_cast<std::size_t>(c)][static_cast<std::size_t>(s)] =
-          seg.buffer(prefix + "/red_land" + std::to_string(c) + "_" +
-                         std::to_string(s),
-                     cfg.reduce_chunk);
-    }
-    red_arrived[static_cast<std::size_t>(c)] =
-        counter("red_arrived" + std::to_string(c));
-  }
+  // --- reduce network state (the landing side is per link) ---
   red_free = counter("red_free");
   red_free->set(2);  // two landing slots at the parent start free
   for (int s = 0; s < 2; ++s) {
@@ -168,49 +136,32 @@ Communicator::NodeState::NodeState(sim::Engine& eng,
     ga_freed[static_cast<std::size_t>(s)] = std::make_unique<shm::SharedFlag>(
         eng, mp, 0, prefix + "/ga_freed" + std::to_string(s));
   }
-  ga_addr.assign(static_cast<std::size_t>(nnodes), nullptr);
-  ga_addr_arr.resize(static_cast<std::size_t>(nnodes));
-  ga_done.resize(static_cast<std::size_t>(nnodes));
-  for (int p = 0; p < nnodes; ++p) {
-    ga_addr_arr[static_cast<std::size_t>(p)] =
-        counter("ga_addr_arr" + std::to_string(p));
-    ga_done[static_cast<std::size_t>(p)] =
-        counter("ga_done" + std::to_string(p));
-  }
-
-  // --- algorithm-zoo network state (per peer node) ---
-  //
-  // Only built when the communicator's decision table can actually dispatch
-  // a zoo algorithm: the block is another O(nodes) counters plus two
-  // reduce_chunk landing slots per peer on every node, and the paper-table
-  // profiles (ibm_sp) never route to it.
-  if (zoo) {
-    zoo_addr.assign(static_cast<std::size_t>(nnodes), nullptr);
-    zoo_addr_arr.resize(static_cast<std::size_t>(nnodes));
-    zoo_got.resize(static_cast<std::size_t>(nnodes));
-    zoo_land.resize(static_cast<std::size_t>(nnodes));
-    zoo_arr.resize(static_cast<std::size_t>(nnodes));
-    zoo_free.resize(static_cast<std::size_t>(nnodes));
-    for (int p = 0; p < nnodes; ++p) {
-      auto pi = static_cast<std::size_t>(p);
-      zoo_addr_arr[pi] = counter("zoo_addr_arr" + std::to_string(p));
-      zoo_got[pi] = counter("zoo_got" + std::to_string(p));
-      for (int s = 0; s < 2; ++s) {
-        zoo_land[pi][static_cast<std::size_t>(s)] =
-            seg.buffer(prefix + "/zoo_land" + std::to_string(p) + "_" +
-                           std::to_string(s),
-                       cfg.reduce_chunk);
-      }
-      zoo_arr[pi] = counter("zoo_arr" + std::to_string(p));
-      zoo_free[pi] = counter("zoo_free" + std::to_string(p));
-      zoo_free[pi]->set(2);  // both landing slots start free
-    }
-    zoo_org = counter("zoo_org");
-  }
+  zoo_org = counter("zoo_org");
 
   // --- single-copy cross-mapping windows ---
   map = &seg.object<shm::Mapping>(prefix + "/map", eng, mp, nlocal,
                                   prefix + "/map");
+  links.resize(static_cast<std::size_t>(nnodes));
+}
+
+Communicator::Link::Link(sim::Engine& eng, const std::string& prefix,
+                         int peer, int nlocal)
+    : bc_arrived{lapi::Counter(eng, link_label(prefix, "bc_arrived", peer, 0)),
+                 lapi::Counter(eng, link_label(prefix, "bc_arrived", peer, 1))},
+      bc_free{lapi::Counter(eng, link_label(prefix, "bc_free", peer, 0)),
+              lapi::Counter(eng, link_label(prefix, "bc_free", peer, 1))},
+      bc_addr(eng, link_label(prefix, "bc_addr_arrived", peer)),
+      bc_large_arrived(eng, link_label(prefix, "bc_large_arrived", peer)),
+      red_arrived(eng, link_label(prefix, "red_arrived", peer)),
+      ga_addr(eng, link_label(prefix, "ga_addr_arr", peer)),
+      ga_done(eng, link_label(prefix, "ga_done", peer)),
+      zoo_addr(eng, link_label(prefix, "zoo_addr_arr", peer)),
+      zoo_got(eng, link_label(prefix, "zoo_got", peer)),
+      zoo_arr(eng, link_label(prefix, "zoo_arr", peer)),
+      zoo_free(eng, link_label(prefix, "zoo_free", peer)),
+      seq(static_cast<std::size_t>(nlocal)) {
+  for (lapi::Counter& cr : bc_free) cr.set(1);  // landing buffers start free
+  zoo_free.set(2);  // both landing slots start free
 }
 
 Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
@@ -246,35 +197,67 @@ Communicator::Communicator(machine::Cluster& cluster, lapi::Fabric& fabric,
 void Communicator::ensure_real_state() {
   if (state_built_) return;
   state_built_ = true;
-  // The zoo block of NodeState is only worth its O(nodes) counters and
-  // landing slots if some table row can actually route to a zoo algorithm.
-  bool zoo = false;
-  for (coll::CollKind op : coll::kAllOps) {
-    for (const auto& row : table_.rows(op)) {
-      zoo = zoo || row.d.algo == coll::Algo::ring ||
-            row.d.algo == coll::Algo::rhalving ||
-            row.d.algo == coll::Algo::scatter_ag;
-    }
-  }
   const auto& topo = cluster_->topology();
   nodes_.reserve(static_cast<std::size_t>(topo.nodes()));
   for (int n = 0; n < topo.nodes(); ++n) {
     auto& node = cluster_->node(n);
     nodes_.push_back(&node.seg.object<NodeState>(
         "srm/" + name_, cluster_->engine(), cluster_->params().mem, topo,
-        cfg_, zoo, node.seg, "srm/" + name_));
+        cfg_, node.seg, "srm/" + name_));
   }
   ranks_.resize(static_cast<std::size_t>(topo.nranks()));
   for (auto& r : ranks_) {
-    r.red_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.red_recvd.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.bc_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.bc_recv.assign(static_cast<std::size_t>(topo.nodes()), 0);
     r.smp_red_base.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
     r.map_gen.assign(static_cast<std::size_t>(topo.tasks_per_node()), 0);
-    r.zoo_sent.assign(static_cast<std::size_t>(topo.nodes()), 0);
-    r.zoo_recvd.assign(static_cast<std::size_t>(topo.nodes()), 0);
   }
+}
+
+Communicator::Link& Communicator::link(int node, int peer) {
+  auto& slot = nodes_[static_cast<std::size_t>(node)]
+                   ->links[static_cast<std::size_t>(peer)];
+  if (slot == nullptr) {
+    slot = std::make_unique<Link>(cluster_->engine(), util::cat("srm/", name_),
+                                  peer, cluster_->topology().tasks_per_node());
+  }
+  return *slot;
+}
+
+std::byte* Communicator::landing(int node, int peer, Land kind,
+                                 std::size_t slot) {
+  auto& pair = link(node, peer).land[kind];
+  if (pair[0].empty()) {
+    static constexpr std::array<const char*, kLandKinds> kName = {
+        "bc_land", "red_land", "zoo_land"};
+    std::size_t bytes =
+        kind == kBcLand ? cfg_.smp_buf_bytes : cfg_.reduce_chunk;
+    shm::Segment& seg = cluster_->node(node).seg;
+    for (std::size_t s = 0; s < 2; ++s) {
+      pair[s] = seg.buffer(link_label(util::cat("srm/", name_), kName[kind],
+                                      peer, static_cast<int>(s)),
+                           bytes);
+    }
+  }
+  return pair[slot].data();
+}
+
+sim::CoTask Communicator::announce_addr(machine::TaskCtx& t,
+                                        AddrCell Link::*cell, int peer,
+                                        int peer_leader, void* addr,
+                                        lapi::Counter* org,
+                                        std::uint64_t& org_pending) {
+  AddrCell& mine = link(t.node(), peer).*cell;
+  AddrCell& theirs = link(peer, t.node()).*cell;
+  mine.sent = addr;
+  ++org_pending;
+  return ep(t.rank).put(ep(peer_leader), &theirs.addr, &mine.sent,
+                        sizeof(void*), &theirs.arrived, org);
+}
+
+sim::CoTask Communicator::await_addr(machine::TaskCtx& t, AddrCell Link::*cell,
+                                     int peer, std::byte*& out) {
+  AddrCell& c = link(t.node(), peer).*cell;
+  co_await ep(t.rank).wait_cntr(c.arrived, 1);
+  out = static_cast<std::byte*>(c.addr);
 }
 
 // ---------------------------------------------------------------------------

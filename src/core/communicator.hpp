@@ -20,9 +20,12 @@
 //  * per-process reduce chunk slots with published/consumed counters (the
 //    pipelined form of Fig. 2);
 //  * per-process barrier flags (one cache line each);
-//  * and, for the node leader, the LAPI-side structures: data-arrival
-//    counters, per-child free-buffer credits, landing zones for the reduce
-//    pipeline, recursive-doubling exchange slots, and barrier round counters.
+//  * and, for the node leader, the LAPI-side structures that do not depend
+//    on a peer: the reduce credit and output slots, recursive-doubling
+//    exchange slots, and barrier round counters.
+// Per-peer state — landing zones, data-arrival counters, free-buffer
+// credits, address cells — lives in one Link record per (node, peer) pair,
+// built when a protocol first touches that link (link(), landing()).
 //
 // Every operation embeds its communication tree with coll::embed (Fig. 1),
 // so at most one task per node (the "leader": the root on the root's node,
@@ -114,16 +117,90 @@ class Communicator final : public coll::Collectives {
 
  private:
   /// Build the per-node shared structures and the per-rank bookkeeping on
-  /// the first real operation. Symbolic-only runs never pay this — it is
-  /// O(nodes^2) counters/buffers (per-link state on every node) plus one
-  /// RankState per rank.
+  /// the first real operation. Symbolic-only runs never pay this. Per-link
+  /// state is not built here: link() builds it when a protocol first
+  /// touches the link.
   void ensure_real_state();
+
+  // ---- per-link network state ----
+  //
+  // Everything a node keeps about one peer node: the inter-node link
+  // (node, peer). With arbitrary roots, consecutive operations embed
+  // different trees, and two different parents' traffic must never alias
+  // one buffer or counter — operations at different tree positions are not
+  // mutually ordered — so network state is kept per link, not per tree
+  // position. A link is built the first time a protocol touches it, and a
+  // family's landing pair only when that family first lands data on it, so
+  // a node holds state for the links its trees actually use: degree(node)
+  // links under a fixed tree, the paper's buffer-consumption argument, plus
+  // whatever links moving roots reach.
+
+  /// An address-exchange cell: a peer puts the address of its user buffer
+  /// into `addr` and bumps `arrived` (announce_addr / await_addr). `sent`
+  /// is the put source on the announcing side: it stays readable until the
+  /// caller's origin counter drains.
+  struct AddrCell {
+    AddrCell(sim::Engine& eng, std::string label)
+        : arrived(eng, std::move(label)) {}
+    void* addr = nullptr;
+    void* sent = nullptr;
+    lapi::Counter arrived;
+  };
+
+  /// Landing-pair families: the data a peer puts into this node's shared
+  /// memory on a link, two slots each (landing()).
+  enum Land : std::size_t { kBcLand, kRedLand, kZooLand, kLandKinds };
+
+  struct Link {
+    Link(sim::Engine& eng, const std::string& prefix, int peer, int nlocal);
+
+    /// [family][slot]; empty until the family first lands data here.
+    std::array<std::array<std::span<std::byte>, 2>, kLandKinds> land;
+
+    // Small-protocol broadcast and scatter: per-slot arrivals from the peer
+    // as our parent or root, and per-slot free credits for sending to the
+    // peer as our child (start at 1: "buffer free").
+    std::array<lapi::Counter, 2> bc_arrived;
+    std::array<lapi::Counter, 2> bc_free;
+    // Large-protocol broadcast: the child's announced user buffer, and the
+    // parent's chunk arrivals (data goes straight to the user buffer).
+    AddrCell bc_addr;
+    lapi::Counter bc_large_arrived;
+    // Reduce pipeline: the child's landing-slot arrivals. The credit for
+    // sending up is per node (NodeState::red_free).
+    lapi::Counter red_arrived;
+    // Gather: the root's announced receive buffer (peer = the root's node),
+    // and at the root the peer's chunk arrivals.
+    AddrCell ga_addr;
+    lapi::Counter ga_done;
+    // Algorithm zoo: the peer's announced user buffer, its direct-put and
+    // streamed-chunk arrivals, and the credits for streaming to it (start
+    // at 2: its two landing slots).
+    AddrCell zoo_addr;
+    lapi::Counter zoo_got;
+    lapi::Counter zoo_arr;
+    lapi::Counter zoo_free;
+
+    /// Cumulative chunks this node sent to / received from the peer, per
+    /// family (landing-slot parity). Buffer-slot parity must agree between
+    /// the two sides of every handshake across operations whose trees (and
+    /// hence leaders) differ, so every rank of the node advances the counts
+    /// identically in its own entry.
+    struct Seq {
+      std::uint64_t bc_sent = 0;
+      std::uint64_t bc_recv = 0;
+      std::uint64_t red_sent = 0;
+      std::uint64_t red_recvd = 0;
+      std::uint64_t zoo_sent = 0;
+      std::uint64_t zoo_recvd = 0;
+    };
+    std::vector<Seq> seq;  // [local task]
+  };
+
   // ---- per-node shared state (lives in the node's shm segment) ----
   struct NodeState {
-    /// @p zoo: build the algorithm-zoo network state (skipped when the
-    /// decision table can never dispatch a zoo algorithm).
     NodeState(sim::Engine& eng, const machine::MemoryParams& mp,
-              const machine::Topology& topo, const SrmConfig& cfg, bool zoo,
+              const machine::Topology& topo, const SrmConfig& cfg,
               shm::Segment& seg, const std::string& prefix);
 
     int nlocal;
@@ -151,33 +228,9 @@ class Communicator final : public coll::Collectives {
 
     // ---- leader-side network state ----
     //
-    // All inter-node state is per *link* (per potential parent or child
-    // node): with arbitrary roots, consecutive operations can have different
-    // trees, and two different parents' traffic must never alias one
-    // buffer or counter — operations at different tree positions are not
-    // mutually ordered. With a fixed tree only degree-of-master entries are
-    // ever touched, matching the paper's buffer-consumption argument; the
-    // full per-peer allocation is the price of arbitrary-root support
-    // (which the paper leaves as an open problem).
-    //
-    // Small-protocol broadcast: two landing buffers + arrival counters per
-    // parent node, and per-child free credits (start at 1: "buffer free").
-    std::vector<std::array<std::span<std::byte>, 2>> bc_land;  // [parent][slot]
-    std::vector<std::array<std::unique_ptr<lapi::Counter>, 2>> bc_arrived;
-    std::vector<std::array<std::unique_ptr<lapi::Counter>, 2>> bc_free;
-
-    // Large-protocol broadcast: the address-exchange cell + counter (per
-    // child), and per-parent chunk-arrival counters (data goes straight to
-    // the user buffer).
-    std::vector<void*> bc_addr;  // child-node -> announced user buffer
-    std::vector<std::unique_ptr<lapi::Counter>> bc_addr_arrived;
-    std::vector<std::unique_ptr<lapi::Counter>> bc_large_arrived;
-
-    // Reduce pipeline: per child node, two landing slots + arrival counter;
-    // one credit counter for sending to our own parent (starts at 2); two
+    // Reduce pipeline: one credit counter for sending to our own parent
+    // (starts at 2: the parent's two landing slots for this link); two
     // node-result slots guarded by the put origin counter.
-    std::vector<std::array<std::span<std::byte>, 2>> red_land;
-    std::vector<std::unique_ptr<lapi::Counter>> red_arrived;
     std::unique_ptr<lapi::Counter> red_free;
     std::array<std::span<std::byte>, 2> red_out;
     std::unique_ptr<lapi::Counter> red_out_org;
@@ -197,33 +250,15 @@ class Communicator final : public coll::Collectives {
     std::unique_ptr<lapi::Counter> bar_fold_out;
 
     // Gather: two shared staging buffers for node-block assembly, with
-    // per-slot monotonic filled/freed counters; the root's announced receive
-    // address (one cell per announcing node, so announcements from
-    // different roots never alias); and the root-side per-node chunk
-    // arrival counters.
+    // per-slot monotonic filled/freed counters.
     std::array<std::span<std::byte>, 2> ga_stage;
     std::array<std::unique_ptr<shm::SharedFlag>, 2> ga_filled;
     std::array<std::unique_ptr<shm::SharedFlag>, 2> ga_freed;
-    std::vector<void*> ga_addr;  // indexed by the root's node
-    std::vector<std::unique_ptr<lapi::Counter>> ga_addr_arr;
-    std::vector<std::unique_ptr<lapi::Counter>> ga_done;  // per sender node
 
-    // ---- algorithm-zoo network state (core/zoo.cpp) ----
-    //
-    // Ring, recursive-halving, and scatter+allgather paths. Per peer node:
-    // an announced user-buffer address cell (direct puts land straight in
-    // user memory, so receivers advertise where), a direct-put arrival
-    // counter, and two reduce_chunk-sized landing slots with arrival +
-    // credit counters for streamed combine traffic.
-    std::vector<void*> zoo_addr;  // peer -> announced user buffer
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_addr_arr;
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_got;
-    std::vector<std::array<std::span<std::byte>, 2>> zoo_land;  // [peer][slot]
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_arr;
-    std::vector<std::unique_ptr<lapi::Counter>> zoo_free;  // start at 2
-    // Origin counter for every zoo put this node's leader issues. Ops are
-    // globally serialized and each drains it to zero before finishing, so
-    // leader changes across operations cannot alias in-flight counts.
+    // Algorithm zoo (core/zoo.cpp): origin counter for every zoo put this
+    // node's leader issues. Ops are globally serialized and each drains it
+    // to zero before finishing, so leader changes across operations cannot
+    // alias in-flight counts.
     std::unique_ptr<lapi::Counter> zoo_org;
 
     // ---- single-copy cross-mapping state (core/single_copy.cpp) ----
@@ -232,6 +267,9 @@ class Communicator final : public coll::Collectives {
     // buffers through it instead of staging through bc_buf, and mapped
     // reduce leaves instead of writing red_slot.
     shm::Mapping* map = nullptr;  // owned by the segment
+
+    // The node's links, indexed by peer node; null until link() builds one.
+    std::vector<std::unique_ptr<Link>> links;
   };
 
   // ---- per-rank protocol sequence numbers ----
@@ -240,17 +278,10 @@ class Communicator final : public coll::Collectives {
   // across operations whose trees (and hence leaders) differ. Each rank
   // therefore tracks, privately and deterministically (every task sees every
   // collective with identical arguments), the cumulative chunk counts that
-  // define each slot cycle.
+  // define each slot cycle; the per-link counts live in Link::seq.
   struct RankState {
     std::uint64_t smp_bc_seq = 0;   // SMP bcast chunks processed (A/B parity)
     std::uint64_t op_seq = 0;       // real ops issued (RD slot parity)
-    // Cumulative reduce chunks my node sent to / received from each peer
-    // node (inter-node landing-slot parity).
-    std::vector<std::uint64_t> red_sent;
-    std::vector<std::uint64_t> red_recvd;
-    // Same for small-protocol broadcast chunks (per-link landing parity).
-    std::vector<std::uint64_t> bc_sent;
-    std::vector<std::uint64_t> bc_recv;
     // Cumulative gather staging chunks on this rank's node (slot parity).
     std::uint64_t ga_seq = 0;
     // Cumulative SMP-reduce chunks each local task has published into its
@@ -261,11 +292,6 @@ class Communicator final : public coll::Collectives {
     // lockstep by every rank of the node whenever a mapped protocol makes
     // local task l export a window — the attach side passes map_gen[l]+1.
     std::vector<std::uint64_t> map_gen;
-    // Cumulative streamed zoo chunks my node sent to / received from each
-    // peer node (zoo_land slot parity). Advanced identically on every rank
-    // of the node — leadership can change between operations.
-    std::vector<std::uint64_t> zoo_sent;
-    std::vector<std::uint64_t> zoo_recvd;
   };
 
   NodeState& node_state(const machine::TaskCtx& t) {
@@ -274,6 +300,30 @@ class Communicator final : public coll::Collectives {
   RankState& rank_state(const machine::TaskCtx& t) {
     return ranks_[static_cast<std::size_t>(t.rank)];
   }
+  /// Node @p node's link to @p peer, built on first use.
+  Link& link(int node, int peer);
+  /// The calling rank's sequence entry on its node's link to @p peer.
+  Link::Seq& link_seq(const machine::TaskCtx& t, int peer) {
+    return link(t.node(), peer).seq[static_cast<std::size_t>(t.local())];
+  }
+  /// Slot @p slot of the @p kind landing pair that @p node keeps for data
+  /// from @p peer, allocated with the pair on first use.
+  std::byte* landing(int node, int peer, Land kind, std::size_t slot);
+  /// Landing-pair slot of a link's @p seq-th chunk (the single-buffer
+  /// ablation degenerates the pair to one slot).
+  std::size_t link_slot(std::uint64_t seq) const {
+    return cfg_.use_two_buffers ? seq % 2 : std::size_t{0};
+  }
+  /// Put @p addr into @p cell of @p peer's link to the caller's node: one
+  /// small put to @p peer_leader, origin-tracked by @p org and counted in
+  /// @p org_pending (the bumps the caller must drain).
+  sim::CoTask announce_addr(machine::TaskCtx& t, AddrCell Link::*cell,
+                            int peer, int peer_leader, void* addr,
+                            lapi::Counter* org, std::uint64_t& org_pending);
+  /// Wait for @p peer's announcement in @p cell of the caller's link to it
+  /// and return the address in @p out.
+  sim::CoTask await_addr(machine::TaskCtx& t, AddrCell Link::*cell, int peer,
+                         std::byte*& out);
   lapi::Endpoint& ep(int rank) { return fabric_->ep(rank); }
 
   // ---- SMP primitives (core/smp.cpp) ----
@@ -423,7 +473,7 @@ class Communicator final : public coll::Collectives {
   // Large-message algorithms from the tuning literature, selected by the
   // decision table: all of them reduce intra-node with the staged Fig. 2
   // pipeline into the node master's buffer, run their inter-node exchange
-  // between masters over the zoo_* state, and publish the result through
+  // between masters over the links' zoo state, and publish the result through
   // the staged Fig. 3 buffers (smp_publish; the mapped column is ignored
   // here).
 

@@ -51,10 +51,6 @@ sim::CoTask Communicator::v_scatter(machine::TaskCtx& t, coll::Buf sbuf,
   std::size_t my_lo = static_cast<std::size_t>(t.local()) * block;
   std::size_t my_hi = my_lo + block;
 
-  auto link_slot = [this](std::uint64_t seq) {
-    return cfg_.use_two_buffers ? seq % 2 : std::size_t{0};
-  };
-
   // Single-copy path (root node only — elsewhere the data already lands in
   // shared memory): the root exports one window over its own node's block
   // and every local pulls its slice straight out, flat — a hierarchy buys
@@ -79,17 +75,12 @@ sim::CoTask Communicator::v_scatter(machine::TaskCtx& t, coll::Buf sbuf,
       std::size_t len = std::min(chunk, node_block - off);
       for (int nd = 0; nd < t.nnodes(); ++nd) {
         if (nd == root_node) continue;
-        auto ni = static_cast<std::size_t>(nd);
-        NodeState& cs = *nodes_[ni];
-        std::size_t slot = link_slot(rs.bc_sent[ni] + c);
-        co_await my_ep.wait_cntr(*ns.bc_free[ni][slot], 1);
+        std::size_t slot = link_slot(link_seq(t, nd).bc_sent + c);
+        co_await my_ep.wait_cntr(link(root_node, nd).bc_free[slot], 1);
         co_await my_ep.put(
-            ep(t.topo->master_of(nd)), cs.bc_land[static_cast<std::size_t>(
-                                                      root_node)][slot]
-                                           .data(),
+            ep(t.topo->master_of(nd)), landing(nd, root_node, kBcLand, slot),
             sp + static_cast<std::size_t>(nd) * node_block + off, len,
-            cs.bc_arrived[static_cast<std::size_t>(root_node)][slot].get(),
-            &org);
+            &link(nd, root_node).bc_arrived[slot], &org);
         ++org_pending;
       }
       if (!mapped) {
@@ -121,32 +112,32 @@ sim::CoTask Communicator::v_scatter(machine::TaskCtx& t, coll::Buf sbuf,
     ns.map->detach(t, leader_local);
   } else if (is_leader) {
     lapi::Endpoint& my_ep = ep(t.rank);
-    auto ri = static_cast<std::size_t>(root_node);
+    std::uint64_t recv_seq = link_seq(t, root_node).bc_recv;
     for (std::size_t c = 0; c < nchunks; ++c) {
       std::size_t off = c * chunk;
       std::size_t len = std::min(chunk, node_block - off);
-      std::size_t slot = link_slot(rs.bc_recv[ri] + c);
+      std::size_t slot = link_slot(recv_seq + c);
       std::size_t flag_slot = cfg_.use_two_buffers ? rs.smp_bc_seq % 2 : 0;
-      co_await my_ep.wait_cntr(*ns.bc_arrived[ri][slot], 1);
+      co_await my_ep.wait_cntr(link(my_node, root_node).bc_arrived[slot], 1);
       co_await smp_slice_chunk(t, leader_local, nullptr,
-                               ns.bc_land[ri][slot].data(), off, len, my_lo,
-                               my_hi, static_cast<std::byte*>(recv));
+                               landing(my_node, root_node, kBcLand, slot), off,
+                               len, my_lo, my_hi,
+                               static_cast<std::byte*>(recv));
       for (int l = 0; l < ns.nlocal; ++l) {
         if (l == leader_local) continue;
         co_await (*ns.bc_ready[flag_slot])[l].await_value(0, &t.chk);
       }
-      co_await my_ep.put_signal(
-          ep(root), *nodes_[ri]->bc_free[static_cast<std::size_t>(my_node)]
-                                        [slot]);
+      co_await my_ep.put_signal(ep(root),
+                                link(root_node, my_node).bc_free[slot]);
     }
   } else {
-    auto ri = static_cast<std::size_t>(root_node);
     for (std::size_t c = 0; c < nchunks; ++c) {
       std::size_t off = c * chunk;
       std::size_t len = std::min(chunk, node_block - off);
       const std::byte* shared_src = nullptr;
       if (my_node != root_node) {
-        shared_src = ns.bc_land[ri][link_slot(rs.bc_recv[ri] + c)].data();
+        shared_src = landing(my_node, root_node, kBcLand,
+                             link_slot(link_seq(t, root_node).bc_recv + c));
       }
       co_await smp_slice_chunk(t, leader_local, nullptr, shared_src, off,
                                len, my_lo, my_hi,
@@ -157,15 +148,14 @@ sim::CoTask Communicator::v_scatter(machine::TaskCtx& t, coll::Buf sbuf,
   // Per-link sequence bookkeeping (every rank, deterministically).
   if (my_node == root_node) {
     for (int nd = 0; nd < t.nnodes(); ++nd) {
-      if (nd == root_node) continue;
-      rs.bc_sent[static_cast<std::size_t>(nd)] += nchunks;
+      if (nd != root_node) link_seq(t, nd).bc_sent += nchunks;
     }
     // Mapped path: one window export by the root, mirrored by every rank of
     // the node. (The staged smp_bc_seq parity does not advance — nobody on
     // this node touched the shared A/B buffers.)
     if (mapped) rs.map_gen[static_cast<std::size_t>(leader_local)] += 1;
   } else {
-    rs.bc_recv[static_cast<std::size_t>(root_node)] += nchunks;
+    link_seq(t, root_node).bc_recv += nchunks;
   }
 }
 
@@ -203,18 +193,12 @@ sim::CoTask Communicator::v_gather(machine::TaskCtx& t, coll::Buf sbuf,
 
   // Stage 0 (root): announce the receive buffer to every other leader.
   if (t.rank == root) {
-    void* addr = recv;
     lapi::Counter org(*t.eng, "gather.addr_org@" + std::to_string(t.rank));
     std::uint64_t org_pending = 0;
     for (int nd = 0; nd < t.nnodes(); ++nd) {
       if (nd == root_node) continue;
-      NodeState& cs = *nodes_[static_cast<std::size_t>(nd)];
-      co_await my_ep.put(
-          ep(t.topo->master_of(nd)),
-          &cs.ga_addr[static_cast<std::size_t>(root_node)], &addr,
-          sizeof(void*),
-          cs.ga_addr_arr[static_cast<std::size_t>(root_node)].get(), &org);
-      ++org_pending;
+      co_await announce_addr(t, &Link::ga_addr, nd, t.topo->master_of(nd),
+                             recv, &org, org_pending);
     }
     if (org_pending > 0) co_await my_ep.wait_cntr(org, org_pending);
   }
@@ -258,8 +242,7 @@ sim::CoTask Communicator::v_gather(machine::TaskCtx& t, coll::Buf sbuf,
     if (t.rank == root) {
       for (int nd = 0; nd < t.nnodes(); ++nd) {
         if (nd == root_node) continue;
-        co_await my_ep.wait_cntr(
-            *ns.ga_done[static_cast<std::size_t>(nd)], nchunks);
+        co_await my_ep.wait_cntr(link(root_node, nd).ga_done, nchunks);
       }
     }
     co_return;
@@ -270,10 +253,7 @@ sim::CoTask Communicator::v_gather(machine::TaskCtx& t, coll::Buf sbuf,
   // contribution), so the expected count per chunk is exactly p.
   std::byte* root_dst = nullptr;  // leaders learn where chunks go
   if (is_leader && my_node != root_node) {
-    co_await my_ep.wait_cntr(
-        *ns.ga_addr_arr[static_cast<std::size_t>(root_node)], 1);
-    root_dst =
-        static_cast<std::byte*>(ns.ga_addr[static_cast<std::size_t>(root_node)]);
+    co_await await_addr(t, &Link::ga_addr, root_node, root_dst);
   }
 
   lapi::Counter out_org(*t.eng, "gather.out_org@" + std::to_string(t.rank));
@@ -322,10 +302,7 @@ sim::CoTask Communicator::v_gather(machine::TaskCtx& t, coll::Buf sbuf,
     } else {
       co_await my_ep.put(ep(root), root_dst + node_base + off,
                          ns.ga_stage[slot].data(), len,
-                         nodes_[static_cast<std::size_t>(root_node)]
-                             ->ga_done[static_cast<std::size_t>(my_node)]
-                             .get(),
-                         &out_org);
+                         &link(root_node, my_node).ga_done, &out_org);
       inflight_slots.push_back(slot);
       // Keep at most two chunks in flight; origin-counter bumps arrive in
       // injection order, so the front of the queue is the slot that the
@@ -347,8 +324,7 @@ sim::CoTask Communicator::v_gather(machine::TaskCtx& t, coll::Buf sbuf,
   if (t.rank == root) {
     for (int nd = 0; nd < t.nnodes(); ++nd) {
       if (nd == root_node) continue;
-      co_await my_ep.wait_cntr(
-          *ns.ga_done[static_cast<std::size_t>(nd)], nchunks);
+      co_await my_ep.wait_cntr(link(root_node, nd).ga_done, nchunks);
     }
   }
 

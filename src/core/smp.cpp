@@ -304,12 +304,10 @@ void Communicator::finish_reduce_bookkeeping(machine::TaskCtx& t,
   if (emb == nullptr) return;
   int my_node = t.node();
   int parent = emb->internode.parent[static_cast<std::size_t>(my_node)];
-  if (parent != -1) {
-    rs.red_sent[static_cast<std::size_t>(parent)] += nchunks;
-  }
+  if (parent != -1) link_seq(t, parent).red_sent += nchunks;
   for (int child :
        emb->internode.children[static_cast<std::size_t>(my_node)]) {
-    rs.red_recvd[static_cast<std::size_t>(child)] += nchunks;
+    link_seq(t, child).red_recvd += nchunks;
   }
 }
 

@@ -71,20 +71,19 @@ sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t,
   if (bytes == 0) co_return;
   NodeState& ns = node_state(t);
   lapi::Endpoint& my_ep = ep(t.rank);
-  auto di = static_cast<std::size_t>(dst_node);
-  auto mi = static_cast<std::size_t>(t.node());
-  NodeState& ds = *nodes_[di];
-  int dst_leader = emb.leader[di];
+  int me = t.node();
+  Link& out = link(me, dst_node);
+  Link& in = link(dst_node, me);
+  int dst_leader = emb.leader[static_cast<std::size_t>(dst_node)];
   std::size_t nchunks = nz_chunks(bytes, cfg_.reduce_chunk);
   for (std::size_t c = 0; c < nchunks; ++c) {
     std::size_t off = c * cfg_.reduce_chunk;
     std::size_t len = std::min(cfg_.reduce_chunk, bytes - off);
     // Consume a landing-slot credit for this link, returned by the
     // receiver's combine (starts at 2: two chunks in flight per edge).
-    co_await my_ep.wait_cntr(*ns.zoo_free[di], 1);
-    co_await my_ep.put(ep(dst_leader), ds.zoo_land[mi][seq % 2].data(),
-                       src + off, len, ds.zoo_arr[mi].get(),
-                       ns.zoo_org.get());
+    co_await my_ep.wait_cntr(out.zoo_free, 1);
+    co_await my_ep.put(ep(dst_leader), landing(dst_node, me, kZooLand, seq % 2),
+                       src + off, len, &in.zoo_arr, ns.zoo_org.get());
     ++seq;
     ++org_inflight;
   }
@@ -97,26 +96,25 @@ sim::CoTask Communicator::zoo_recv_combine(machine::TaskCtx& t,
                                            coll::RedOp op,
                                            std::uint64_t& seq) {
   if (bytes == 0) co_return;
-  NodeState& ns = node_state(t);
   lapi::Endpoint& my_ep = ep(t.rank);
-  auto si = static_cast<std::size_t>(src_node);
-  auto mi = static_cast<std::size_t>(t.node());
-  NodeState& ss = *nodes_[si];
-  int src_leader = emb.leader[si];
+  int me = t.node();
+  Link& in = link(me, src_node);
+  Link& out = link(src_node, me);
+  int src_leader = emb.leader[static_cast<std::size_t>(src_node)];
   std::size_t esize = coll::dtype_size(d);
   std::size_t nchunks = nz_chunks(bytes, cfg_.reduce_chunk);
   for (std::size_t c = 0; c < nchunks; ++c) {
     std::size_t off = c * cfg_.reduce_chunk;
     std::size_t len = std::min(cfg_.reduce_chunk, bytes - off);
-    co_await my_ep.wait_cntr(*ns.zoo_arr[si], 1);
-    const std::byte* land = ns.zoo_land[si][seq % 2].data();
+    co_await my_ep.wait_cntr(in.zoo_arr, 1);
+    const std::byte* land = landing(me, src_node, kZooLand, seq % 2);
     co_await t.nd->mem.charge_combine(static_cast<double>(len));
     chk::note_read(t.chk, land, len);
     chk::note_write(t.chk, dst + off, len);
     coll::combine(op, d, dst + off, land, len / esize);
     ++seq;
     // Return the slot credit to the sender's stream.
-    co_await my_ep.put_signal(ep(src_leader), *ss.zoo_free[mi]);
+    co_await my_ep.put_signal(ep(src_leader), out.zoo_free);
   }
 }
 
@@ -146,11 +144,8 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
     std::size_t hi = std::min(count, (static_cast<std::size_t>(i) + 1) * rblk);
     return (hi - blo(i)) * esize;
   };
-  RankState& rs = rank_state(t);
-
   if (t.is_master() && n > 1) {
     NodeState& ns = node_state(t);
-    SRM_CHECK(!ns.zoo_free.empty());  // zoo state gated on the table
     lapi::Endpoint& my_ep = ep(t.rank);
     // The ring attributes arrivals to blocks by their order on the link
     // (one counter per peer). Interrupt-mode reception breaks that order —
@@ -161,8 +156,8 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
     my_ep.set_interrupts(false);
     auto* base = static_cast<std::byte*>(recv);
     std::uint64_t org_inflight = 0;
-    std::uint64_t sent_seq = rs.zoo_sent[static_cast<std::size_t>(succ)];
-    std::uint64_t recv_seq = rs.zoo_recvd[static_cast<std::size_t>(pred)];
+    std::uint64_t sent_seq = link_seq(t, succ).zoo_sent;
+    std::uint64_t recv_seq = link_seq(t, pred).zoo_recvd;
 
     // Reduce-scatter: n-1 ring steps. The stream to the successor and the
     // combine of the predecessor's stream must run concurrently — a
@@ -191,20 +186,14 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
     // Allgather: announce the receive buffer to the predecessor (it puts
     // straight into our user memory), then circulate the owned blocks —
     // after the reduce-scatter, node v owns the fully reduced block v+1.
-    void* my_addr = recv;
     bool incoming = false;
     for (int s = 0; s <= n - 2; ++s) {
       if (blen((v - s + n) % n) > 0) incoming = true;
     }
     if (incoming) {
-      auto pi = static_cast<std::size_t>(pred);
-      NodeState& ps = *nodes_[pi];
-      co_await my_ep.put(ep(emb.leader[pi]),
-                         &ps.zoo_addr[static_cast<std::size_t>(v)], &my_addr,
-                         sizeof(void*),
-                         ps.zoo_addr_arr[static_cast<std::size_t>(v)].get(),
-                         ns.zoo_org.get());
-      ++org_inflight;
+      co_await announce_addr(t, &Link::zoo_addr, pred,
+                             emb.leader[static_cast<std::size_t>(pred)], recv,
+                             ns.zoo_org.get(), org_inflight);
     }
 
     std::byte* succ_addr = nullptr;
@@ -212,22 +201,16 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
       int sb = (v + 1 - s + n) % n;  // block we own and forward
       int rb = (v - s + n) % n;      // block arriving from the predecessor
       if (blen(sb) > 0) {
-        auto si = static_cast<std::size_t>(succ);
         if (succ_addr == nullptr) {
-          co_await my_ep.wait_cntr(*ns.zoo_addr_arr[si], 1);
-          succ_addr = static_cast<std::byte*>(ns.zoo_addr[si]);
+          co_await await_addr(t, &Link::zoo_addr, succ, succ_addr);
         }
-        NodeState& ss = *nodes_[si];
-        co_await my_ep.put(ep(emb.leader[si]), succ_addr + blo(sb) * esize,
-                           base + blo(sb) * esize, blen(sb),
-                           ss.zoo_got[static_cast<std::size_t>(v)].get(),
+        co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(succ)]),
+                           succ_addr + blo(sb) * esize, base + blo(sb) * esize,
+                           blen(sb), &link(succ, v).zoo_got,
                            ns.zoo_org.get());
         ++org_inflight;
       }
-      if (blen(rb) > 0) {
-        co_await my_ep.wait_cntr(*ns.zoo_got[static_cast<std::size_t>(pred)],
-                                 1);
-      }
+      if (blen(rb) > 0) co_await my_ep.wait_cntr(link(v, pred).zoo_got, 1);
     }
     if (org_inflight > 0) {
       co_await my_ep.wait_cntr(*ns.zoo_org, org_inflight);
@@ -246,8 +229,8 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
       sent += nz_chunks(blen((v - s + n) % n), cfg_.reduce_chunk);
       recvd += nz_chunks(blen((pred - s + n) % n), cfg_.reduce_chunk);
     }
-    rs.zoo_sent[static_cast<std::size_t>(succ)] += sent;
-    rs.zoo_recvd[static_cast<std::size_t>(pred)] += recvd;
+    link_seq(t, succ).zoo_sent += sent;
+    link_seq(t, pred).zoo_recvd += recvd;
   }
 }
 
@@ -269,7 +252,6 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
 
   if (t.is_master() && n > 1) {
     NodeState& ns = node_state(t);
-    SRM_CHECK(!ns.zoo_free.empty());  // zoo state gated on the table
     lapi::Endpoint& my_ep = ep(t.rank);
     // Per-peer counters attribute arrivals by link order; keep reception
     // polled so that order is FIFO (see ring_allreduce).
@@ -277,50 +259,30 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
     auto* base = static_cast<std::byte*>(recv);
     std::uint64_t org_inflight = 0;
     std::vector<std::byte> scratch(bytes);
-    // Announced addresses must stay readable until the origin counter says
-    // the adapter consumed them: one stable cell per peer.
-    std::vector<void*> ann(static_cast<std::size_t>(n), nullptr);
 
     int pof2 = 1;
     while (pof2 * 2 <= n) pof2 *= 2;
     int rem = n - pof2;
 
     auto node_of = [&](int w) { return w < rem ? w * 2 + 1 : w + rem; };
-    auto leader_ep = [&](int node) -> lapi::Endpoint& {
-      return ep(emb.leader[static_cast<std::size_t>(node)]);
-    };
-    auto peer_ns = [&](int node) -> NodeState& {
-      return *nodes_[static_cast<std::size_t>(node)];
-    };
     // Advertise @p addr to @p peer. Announcements double as flow control: a
     // peer may not put until we re-advertised (i.e. finished reusing) the
     // target memory.
-    auto announce = [&](int peer, void* addr) -> sim::CoTask {
-      auto pi = static_cast<std::size_t>(peer);
-      ann[pi] = addr;
-      NodeState& ps = peer_ns(peer);
-      co_await my_ep.put(leader_ep(peer),
-                         &ps.zoo_addr[static_cast<std::size_t>(v)], &ann[pi],
-                         sizeof(void*),
-                         ps.zoo_addr_arr[static_cast<std::size_t>(v)].get(),
+    auto announce = [&](int peer, void* addr) {
+      return announce_addr(t, &Link::zoo_addr, peer,
+                           emb.leader[static_cast<std::size_t>(peer)], addr,
+                           ns.zoo_org.get(), org_inflight);
+    };
+    // Put [src, src+len) at offset @p off of the buffer @p peer last
+    // advertised, once the advertisement arrived.
+    auto direct_put = [&](int peer, std::size_t off, const std::byte* src,
+                          std::size_t len) -> sim::CoTask {
+      std::byte* dst = nullptr;
+      co_await await_addr(t, &Link::zoo_addr, peer, dst);
+      co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(peer)]),
+                         dst + off, src, len, &link(peer, v).zoo_got,
                          ns.zoo_org.get());
       ++org_inflight;
-    };
-    auto direct_put = [&](int peer, std::byte* dst, const std::byte* src,
-                          std::size_t len) -> sim::CoTask {
-      co_await my_ep.put(
-          leader_ep(peer), dst, src, len,
-          peer_ns(peer).zoo_got[static_cast<std::size_t>(v)].get(),
-          ns.zoo_org.get());
-      ++org_inflight;
-    };
-    auto wait_peer_addr = [&](int peer) -> sim::CoTask {
-      co_await my_ep.wait_cntr(*ns.zoo_addr_arr[static_cast<std::size_t>(peer)],
-                               1);
-    };
-    auto peer_addr = [&](int peer) {
-      return static_cast<std::byte*>(
-          ns.zoo_addr[static_cast<std::size_t>(peer)]);
     };
 
     // Fold to the nearest power of two: the first 2*rem nodes pair up,
@@ -328,16 +290,12 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
     int w;
     if (v < 2 * rem) {
       if (v % 2 == 0) {
-        if (bytes > 0) {
-          co_await wait_peer_addr(v + 1);
-          co_await direct_put(v + 1, peer_addr(v + 1), base, bytes);
-        }
+        if (bytes > 0) co_await direct_put(v + 1, 0, base, bytes);
         w = -1;
       } else {
         if (bytes > 0) {
           co_await announce(v - 1, scratch.data());
-          co_await my_ep.wait_cntr(
-              *ns.zoo_got[static_cast<std::size_t>(v - 1)], 1);
+          co_await my_ep.wait_cntr(link(v, v - 1).zoo_got, 1);
           co_await t.nd->mem.charge_combine(static_cast<double>(bytes));
           chk::note_read(t.chk, scratch.data(), bytes);
           chk::note_write(t.chk, base, bytes);
@@ -382,13 +340,10 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
         std::size_t send_b = (shi - slo) * esize;
         if (keep_b > 0) co_await announce(pnode, scratch.data());
         if (send_b > 0) {
-          co_await wait_peer_addr(pnode);
-          co_await direct_put(pnode, peer_addr(pnode), base + slo * esize,
-                              send_b);
+          co_await direct_put(pnode, 0, base + slo * esize, send_b);
         }
         if (keep_b > 0) {
-          co_await my_ep.wait_cntr(
-              *ns.zoo_got[static_cast<std::size_t>(pnode)], 1);
+          co_await my_ep.wait_cntr(link(v, pnode).zoo_got, 1);
           co_await t.nd->mem.charge_combine(static_cast<double>(keep_b));
           chk::note_read(t.chk, scratch.data(), keep_b);
           chk::note_write(t.chk, base + lo * esize, keep_b);
@@ -414,23 +369,16 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
         std::size_t peer_b = (rhi[ri] - rlo[ri]) * esize - mine_b;
         if (peer_b > 0) co_await announce(pnode, recv);
         if (mine_b > 0) {
-          co_await wait_peer_addr(pnode);
-          co_await direct_put(pnode, peer_addr(pnode) + lo * esize,
-                              base + lo * esize, mine_b);
+          co_await direct_put(pnode, lo * esize, base + lo * esize, mine_b);
         }
-        if (peer_b > 0) {
-          co_await my_ep.wait_cntr(
-              *ns.zoo_got[static_cast<std::size_t>(pnode)], 1);
-        }
+        if (peer_b > 0) co_await my_ep.wait_cntr(link(v, pnode).zoo_got, 1);
         lo = rlo[ri];
         hi = rhi[ri];
       }
 
       // Unfold: hand the full vector back to the folded-out even partner.
       if (w < rem && bytes > 0) {
-        int partner = node_of(w) - 1;
-        co_await wait_peer_addr(partner);
-        co_await direct_put(partner, peer_addr(partner), base, bytes);
+        co_await direct_put(node_of(w) - 1, 0, base, bytes);
       }
     } else {
       // Folded out: drain the fold put (the unfold overwrites its source),
@@ -441,8 +389,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
       }
       if (bytes > 0) {
         co_await announce(v + 1, recv);
-        co_await my_ep.wait_cntr(*ns.zoo_got[static_cast<std::size_t>(v + 1)],
-                                 1);
+        co_await my_ep.wait_cntr(link(v, v + 1).zoo_got, 1);
       }
     }
 
@@ -499,7 +446,6 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
   }
 
   NodeState& ns = node_state(t);
-  SRM_CHECK(!ns.zoo_free.empty());  // zoo state gated on the table
   lapi::Endpoint& my_ep = ep(t.rank);
   // The scatter and ring arrivals are attributed to blocks purely by link
   // order; polled reception keeps processing FIFO (see ring_allreduce).
@@ -508,30 +454,15 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
   // The root holds the whole message and re-injects blocks from its own
   // buffer; its predecessor therefore sends nothing around the ring.
   bool send_ring = succ != root_node;
-  std::vector<void*> ann(static_cast<std::size_t>(n), nullptr);
 
-  auto announce = [&](int peer) -> sim::CoTask {
-    auto pi = static_cast<std::size_t>(peer);
-    ann[pi] = buf;
-    NodeState& ps = *nodes_[pi];
-    co_await my_ep.put(ep(emb.leader[pi]),
-                       &ps.zoo_addr[static_cast<std::size_t>(v)], &ann[pi],
-                       sizeof(void*),
-                       ps.zoo_addr_arr[static_cast<std::size_t>(v)].get(),
-                       ns.zoo_org.get());
-    ++org_inflight;
-  };
   std::byte* succ_addr = nullptr;
   auto forward = [&](int b) -> sim::CoTask {
-    auto si = static_cast<std::size_t>(succ);
     if (succ_addr == nullptr) {
-      co_await my_ep.wait_cntr(*ns.zoo_addr_arr[si], 1);
-      succ_addr = static_cast<std::byte*>(ns.zoo_addr[si]);
+      co_await await_addr(t, &Link::zoo_addr, succ, succ_addr);
     }
-    co_await my_ep.put(ep(emb.leader[si]), succ_addr + blo(b), base + blo(b),
-                       blen(b),
-                       nodes_[si]->zoo_got[static_cast<std::size_t>(v)].get(),
-                       ns.zoo_org.get());
+    co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(succ)]),
+                       succ_addr + blo(b), base + blo(b), blen(b),
+                       &link(succ, v).zoo_got, ns.zoo_org.get());
     ++org_inflight;
   };
 
@@ -541,13 +472,11 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     // scatter wait on the receiving side.
     for (int i = 0; i < n; ++i) {
       if (i == root_node || blen(i) == 0) continue;
-      auto ii = static_cast<std::size_t>(i);
-      co_await my_ep.wait_cntr(*ns.zoo_addr_arr[ii], 1);
-      auto* dst = static_cast<std::byte*>(ns.zoo_addr[ii]);
-      co_await my_ep.put(
-          ep(emb.leader[ii]), dst + blo(i), base + blo(i), blen(i),
-          nodes_[ii]->zoo_arr[static_cast<std::size_t>(v)].get(),
-          ns.zoo_org.get());
+      std::byte* dst = nullptr;
+      co_await await_addr(t, &Link::zoo_addr, i, dst);
+      co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(i)]),
+                         dst + blo(i), base + blo(i), blen(i),
+                         &link(i, v).zoo_arr, ns.zoo_org.get());
       ++org_inflight;
     }
     // Ring re-injection: send block (root - s) to the successor at step s,
@@ -568,13 +497,20 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     for (int b = 0; b < n; ++b) {
       if (b != v && blen(b) > 0) incoming = true;
     }
-    if (incoming) co_await announce(pred);
-    if (blen(v) > 0) co_await announce(root_node);
+    if (incoming) {
+      co_await announce_addr(t, &Link::zoo_addr, pred,
+                             emb.leader[static_cast<std::size_t>(pred)], buf,
+                             ns.zoo_org.get(), org_inflight);
+    }
+    if (blen(v) > 0) {
+      co_await announce_addr(t, &Link::zoo_addr, root_node,
+                             emb.leader[static_cast<std::size_t>(root_node)],
+                             buf, ns.zoo_org.get(), org_inflight);
+    }
 
     // Step 0: wait for the scatter block, forward it, publish it.
     if (blen(v) > 0) {
-      co_await my_ep.wait_cntr(*ns.zoo_arr[static_cast<std::size_t>(root_node)],
-                               1);
+      co_await my_ep.wait_cntr(link(v, root_node).zoo_arr, 1);
       if (send_ring) co_await forward(v);
       co_await smp_publish(t, leader_local, base + blo(v), base + blo(v),
                            blen(v));
@@ -584,7 +520,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     for (int s = 1; s < n; ++s) {
       int b = (v - s + n) % n;
       if (blen(b) == 0) continue;
-      co_await my_ep.wait_cntr(*ns.zoo_got[static_cast<std::size_t>(pred)], 1);
+      co_await my_ep.wait_cntr(link(v, pred).zoo_got, 1);
       if (send_ring && s <= n - 2) co_await forward(b);
       co_await smp_publish(t, leader_local, base + blo(b), base + blo(b),
                            blen(b));

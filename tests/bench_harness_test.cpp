@@ -35,6 +35,27 @@ TEST(Harness, BarrierGrowsWithProcessorCount) {
   }
 }
 
+TEST(Harness, SymbolicBarrierRunsOnTheSymbolicPlane) {
+  // A fresh Bench has no plane history, and the plane switch runs a barrier
+  // on the plane of that history: symbolic mode must still time the
+  // symbolic barrier, which sends no message, and its self-check skeleton
+  // must cover the call that set the history.
+  for (Impl impl : {Impl::srm, Impl::mpi_ibm}) {
+    Bench b(impl, 2, 8);
+    b.set_symbolic(true);
+    b.force_selfcheck();
+    EXPECT_GT(b.time_barrier(4), 0.0) << impl_name(impl);
+    EXPECT_EQ(b.sv_finish(), 0) << impl_name(impl);
+    std::uint64_t messages = 0;
+    for (const std::string& name : b.obs().names()) {
+      if (name.rfind("lapi.", 0) == 0 || name.rfind("mpi.send.", 0) == 0) {
+        messages += b.obs().count(name);
+      }
+    }
+    EXPECT_EQ(messages, 0u) << impl_name(impl);
+  }
+}
+
 // ---- shape regressions vs the paper's claims ----
 
 class ShapeAt256 : public ::testing::Test {

@@ -184,6 +184,30 @@ TEST(Checker, AccessesCheckedCounts) {
   EXPECT_EQ(f.chk.accesses_checked(), 2u);
 }
 
+TEST(Checker, RegionCreatedOverRetiredWindowReplacesIt) {
+  // A window the owner retracted is retired; the host heap can hand its
+  // memory to a shared buffer created later (a landing zone built on first
+  // use). The new region must own those bytes: the window's history and
+  // its drop-on-foreign-access rule no longer apply there.
+  if (!chk::kEnabled) GTEST_SKIP() << "built with SRM_CHK=OFF";
+  Engine eng;
+  Checker chk(eng, 4);
+  chk.set_enabled(true);
+  std::vector<std::byte> mem(256);
+  chk.register_region(mem.data() + 64, 32, "win", /*owner=*/0);
+  chk.access(0, mem.data() + 64, 32, Access::write);
+  chk.retire_region(mem.data() + 64);
+
+  chk.register_region(mem.data(), mem.size(), "land");
+  chk.access(1, mem.data() + 72, 8, Access::write);
+  chk.access(2, mem.data() + 72, 8, Access::write);
+  EXPECT_EQ(chk.accesses_checked(), 3u);
+  ASSERT_EQ(chk.reports().size(), 1u);
+  EXPECT_EQ(chk.reports()[0].region, "land");
+  EXPECT_EQ(chk.reports()[0].prev_actor, 1);
+  EXPECT_EQ(chk.reports()[0].cur_actor, 2);
+}
+
 TEST(Checker, TaskChkHelpersRespectNullChecker) {
   chk::TaskChk none;  // default: no checker attached
   EXPECT_FALSE(chk::on(none));

@@ -105,6 +105,58 @@ TEST(ScheduleExplorer, MixedMappedAndStagedReducesShareSlotPair) {
   expect_clean(opt, true);
 }
 
+TEST(ScheduleExplorer, LinksBuiltMidRunStayOrdered) {
+  // Link state is built when a protocol first touches a (node, peer) pair,
+  // and a landing pair when its family first lands data there. Each op
+  // below has its root on a different node, so every op reaches links (and
+  // landing families) the ops before it never built — staged and direct
+  // bcasts, reduces and gathers, mapped and staged — and the zoo's ring,
+  // recursive halving and scatter+allgather then build theirs. The buffers
+  // come from the host heap while windows of earlier mapped ops have
+  // already been retracted.
+  const auto bin = coll::TreeKind::binomial;
+  using coll::Algo;
+  using coll::CollKind;
+  ExploreOptions opt;
+  opt.backend = ExploreBackend::srm;
+  opt.nodes = 4;
+  opt.tasks_per_node = 4;
+  opt.schedules = 16;
+  opt.seed_base = 1101;
+  opt.params = machine::MachineParams::modern_smp();
+  opt.srm.single_copy = true;
+  auto& tab = opt.srm.decisions;
+  tab.profile = "links";
+  tab.set(CollKind::bcast, 0, {Algo::staged, false, bin});
+  tab.set(CollKind::bcast, 2048, {Algo::staged, true, bin});
+  tab.set(CollKind::bcast, 16384, {Algo::direct, false, bin});
+  tab.set(CollKind::bcast, 65536, {Algo::direct, true, bin});
+  tab.set(CollKind::bcast, 90000, {Algo::scatter_ag, false, bin});
+  tab.set(CollKind::reduce, 0, {Algo::staged, false, bin});
+  tab.set(CollKind::reduce, 4096, {Algo::staged, true, bin});
+  tab.set(CollKind::gather, 0, {Algo::staged, false, bin});
+  tab.set(CollKind::gather, 8192, {Algo::staged, true, bin});
+  tab.set(CollKind::allreduce, 0, {Algo::ring, false, bin});
+  tab.set(CollKind::allreduce, 40000, {Algo::rhalving, false, bin});
+  using Op = chk::ExploreOp;
+  // Bytes for bcast, f64 elements otherwise (per rank for gather).
+  opt.plan = {
+      {Op::bcast, 1000, 5},       // staged, root node 1
+      {Op::reduce, 100, 10},      // staged, root node 2
+      {Op::gather, 64, 15},       // staged (2 KB node block), root node 3
+      {Op::bcast, 4000, 0},       // staged+sc, root node 0
+      {Op::bcast, 20000, 9},      // direct, root node 2
+      {Op::reduce, 3000, 3},      // mapped, 2 chunks, root node 0
+      {Op::gather, 512, 6},       // mapped (16 KB node block), root node 1
+      {Op::bcast, 70000, 13},     // direct+sc, 2 net chunks, root node 3
+      {Op::allreduce, 3000, 0},   // ring
+      {Op::allreduce, 6000, 0},   // rhalving
+      {Op::bcast, 100000, 7},     // scatter+allgather, root node 1
+      {Op::barrier, 0, 0},
+  };
+  expect_clean(opt, true);
+}
+
 TEST(ScheduleExplorer, MpiIbm2x2Sixteen) {
   ExploreOptions opt;
   opt.backend = ExploreBackend::mpi_ibm;

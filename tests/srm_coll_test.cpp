@@ -505,5 +505,71 @@ TEST(SrmMixed, DeterministicTimings) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// ---------------------------------------------------------------------------
+// Link state: built on use.
+// ---------------------------------------------------------------------------
+
+TEST(SrmLinks, LandingPairsOnlyOnTreeEdges) {
+  // A node allocates a family's landing pair for a peer only when that
+  // family first lands data on the link: a root-0 staged bcast and a root-0
+  // reduce on 16 nodes create one pair per edge of their inter-node trees
+  // (15 of the 256 (node, peer) pairs each), and a decision table with no
+  // zoo rows never creates a zoo landing pair.
+  constexpr int kNodes = 16;
+  constexpr int kPerNode = 4;
+  constexpr std::size_t kCount = 8;  // 64 B: staged bcast, one reduce chunk
+  Fixture f(kNodes, kPerNode);
+  ASSERT_EQ(f.comm.decide(coll::CollKind::bcast, kCount * 8).algo,
+            coll::Algo::staged);
+  f.cluster.run([&](TaskCtx& t) -> CoTask {
+    std::vector<double> buf(kCount, t.rank == 0 ? 1.0 : 0.0);
+    std::vector<double> out(kCount, 0.0);
+    co_await f.comm.bcast(t, coll::of(buf.data(), kCount), 0);
+    co_await f.comm.reduce(t, coll::of(buf.data(), kCount),
+                           coll::of(out.data(), kCount), coll::RedOp::sum, 0);
+  });
+  // Per-node shared state without any landing pair, for the counts below.
+  Fixture bare(kNodes, kPerNode);
+  bare.cluster.run(
+      [&](TaskCtx& t) -> CoTask { co_await bare.comm.barrier(t); });
+
+  auto parents = [&](coll::CollKind op) {
+    return coll::embed(f.cluster.topology(), 0,
+                       f.comm.decide(op, kCount * 8).internode,
+                       f.comm.config().intranode_tree)
+        .internode.parent;
+  };
+  const std::vector<int> bc_parent = parents(coll::CollKind::bcast);
+  const std::vector<int> red_parent = parents(coll::CollKind::reduce);
+  int bc_edges = 0;
+  int red_edges = 0;
+  for (int n = 0; n < kNodes; ++n) {
+    const shm::Segment& seg = f.cluster.node(n).seg;
+    std::size_t pairs = 0;
+    for (int p = 0; p < kNodes; ++p) {
+      auto has = [&](const char* what, int peer) {
+        return seg.contains(util::cat("srm/srm0/", what, std::to_string(peer),
+                                      "_0"));
+      };
+      // bc_land<p>: data from parent p; red_land<c>: data from child c.
+      bool bc = has("bc_land", p);
+      bool red = has("red_land", p);
+      EXPECT_EQ(bc, bc_parent[static_cast<std::size_t>(n)] == p)
+          << "bc_land" << p << " on node " << n;
+      EXPECT_EQ(red, red_parent[static_cast<std::size_t>(p)] == n)
+          << "red_land" << p << " on node " << n;
+      EXPECT_FALSE(has("zoo_land", p)) << "zoo_land" << p << " on node " << n;
+      bc_edges += bc ? 1 : 0;
+      red_edges += red ? 1 : 0;
+      pairs += (bc ? 1 : 0) + (red ? 1 : 0);
+    }
+    EXPECT_EQ(seg.buffer_count(),
+              bare.cluster.node(n).seg.buffer_count() + 2 * pairs)
+        << "node " << n;
+  }
+  EXPECT_EQ(bc_edges, kNodes - 1);
+  EXPECT_EQ(red_edges, kNodes - 1);
+}
+
 }  // namespace
 }  // namespace srm
