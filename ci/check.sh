@@ -9,8 +9,10 @@
 #   1b. perf       — micro_engine + fig06_bcast + fig07_reduce +
 #                    fig08_allreduce vs the checked-in BENCH_*.json baselines
 #                    at the repo root (ci/perf_gate.py, >15% fails), plus a
-#                    smoke run of the single-copy ablation; also runnable
-#                    alone via `ci/check.sh perf`
+#                    smoke run of the single-copy ablation and of every
+#                    perfbench workload (perfbench/test_smoke.py: result
+#                    shape, metric names, traced == untraced sim_digest);
+#                    also runnable alone via `ci/check.sh perf`
 #   1c. sv         — collective-matching verifier: the seeded-mismatch
 #                    mutation gauntlet, then every example + fig12_barrier
 #                    re-run under SRM_SV_SELFCHECK=1 so the recorded traces
@@ -104,6 +106,9 @@ run_perf_gate() {
   (cd "$dir/bench" && ./abl_tuner --smoke >/dev/null)
   python3 ci/perf_gate.py BENCH_abl_tuner.json \
     "$dir/bench/BENCH_abl_tuner.json" --tol "${SRM_PERF_TOL:-0.15}"
+  # Repository benchmark: every BENCHMARK.json workload in --smoke mode,
+  # untraced and traced (it builds perfbench into .bench_build/).
+  python3 perfbench/test_smoke.py
 }
 
 run_tune() {

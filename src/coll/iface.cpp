@@ -156,7 +156,8 @@ sim::CoTask nothing() { co_return; }
 
 Collectives::Collectives(machine::Cluster& cluster, sym::Profile profile,
                          std::string_view layer)
-    : sym_(cluster, profile) {
+    : trees_(cluster.topology(), cluster.params().topo),
+      sym_(cluster, profile, trees_) {
   for (CollKind op : kAllOps) {
     names_[static_cast<std::size_t>(op)] =
         intern(std::string(layer) + "." + coll_name(op));

@@ -51,6 +51,7 @@
 #include "coll/ops.hpp"
 #include "coll/sig.hpp"
 #include "coll/symbolic.hpp"
+#include "coll/tree.hpp"
 #include "machine/cluster.hpp"
 #include "sim/task.hpp"
 
@@ -98,6 +99,10 @@ class Collectives {
   /// rank, before the backend task starts.
   void set_trace_sink(TraceSink* sink) noexcept { sink_ = sink; }
   TraceSink* trace_sink() const noexcept { return sink_; }
+
+  /// The one tree source of this backend: every tree its real protocols and
+  /// its symbolic plane walk, shared by all ranks and calls.
+  TreeMemo& trees() noexcept { return trees_; }
 
  protected:
   /// @p profile: the symbolic plane's cost knobs for this backend; @p layer:
@@ -162,6 +167,7 @@ class Collectives {
                        sim::CoTask inner);
 
   TraceSink* sink_ = nullptr;
+  TreeMemo trees_;
   sym::Transport sym_;
   std::array<const char*, kAllOps.size()> names_;  // "<layer>.<op>"
   bool sym_used_ = false;   // a symbolic call has run

@@ -1,6 +1,7 @@
 #include "coll/symbolic.hpp"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "machine/memory.hpp"
@@ -32,8 +33,8 @@ struct Transport::NodeSt {
   std::map<std::uint64_t, NodeOp> ops;
 };
 
-Transport::Transport(machine::Cluster& cluster, Profile p)
-    : cluster_(&cluster), p_(p) {
+Transport::Transport(machine::Cluster& cluster, Profile p, TreeMemo& trees)
+    : cluster_(&cluster), p_(p), trees_(&trees) {
   SRM_CHECK(p_.chunk > 0);
   seq_.assign(static_cast<std::size_t>(cluster.topology().nranks()), 0);
   nodes_.resize(static_cast<std::size_t>(cluster.topology().nodes()));
@@ -56,18 +57,6 @@ void Transport::finish(int node, std::uint64_t seq, int nlocal) {
 
 std::uint64_t Transport::next_seq(machine::TaskCtx& t) {
   return seq_.at(static_cast<std::size_t>(t.rank))++;
-}
-
-const Tree& Transport::tree(TreeKind kind, int root_node) {
-  auto key = std::make_pair(static_cast<int>(kind), root_node);
-  auto it = trees_.find(key);
-  if (it == trees_.end()) {
-    it = trees_
-             .emplace(key, build_tree(kind, cluster_->topology().nodes(),
-                                      root_node))
-             .first;
-  }
-  return it->second;
 }
 
 namespace {
@@ -99,7 +88,7 @@ sim::CoTask Transport::bcast_run(machine::TaskCtx& t, std::uint64_t seq,
       st.data = Payload(nb, bb);
       st.data.copy_blocks(*src, s0, 0, nb);
     }
-    const Tree& tr = tree(tk, root_node);
+    const Tree& tr = trees_->tree(tk, t.nnodes(), root_node);
     const auto& kids = tr.children[static_cast<std::size_t>(node)];
     for (std::size_t c = 0; c < nchunks; ++c) {
       if (t.rank != root) {
@@ -181,7 +170,7 @@ sim::CoTask Transport::reduce_run(machine::TaskCtx& t, std::uint64_t seq,
           t.rank);
       co_await t.nd->mem.charge_combine(static_cast<double>(total));
     }
-    const Tree& tr = tree(tk, root_node);
+    const Tree& tr = trees_->tree(tk, t.nnodes(), root_node);
     const auto& kids = tr.children[static_cast<std::size_t>(node)];
     for (std::size_t k = 1; k <= kids.size(); ++k) {
       co_await st.wq.wait_until([&st, k] { return st.net_srcs >= k; },
@@ -378,7 +367,7 @@ sim::CoTask Transport::barrier_run(machine::TaskCtx& t, std::uint64_t seq,
           return st.contrib >= static_cast<std::uint64_t>(nlocal);
         },
         t.rank);
-    const Tree& tr = tree(tk, 0);
+    const Tree& tr = trees_->tree(tk, t.nnodes(), 0);
     const auto& kids = tr.children[static_cast<std::size_t>(node)];
     for (std::size_t k = 1; k <= kids.size(); ++k) {
       co_await st.wq.wait_until([&st, k] { return st.net_srcs >= k; },

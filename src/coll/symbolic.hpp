@@ -15,16 +15,15 @@
 // cost Profile (SRM: its config's network chunk and LAPI-ish per-message
 // overhead; mini-MPI: its per-call software overheads), and passes the
 // Decision the backend's decide() returns (the default binomial one for
-// mini-MPI). Per-node coordination state is allocated lazily per (node, op)
-// and freed when the op's last local participant finishes — memory stays
-// O(nodes + active blocks) however large the modeled message is.
+// mini-MPI), and its TreeMemo. Per-node coordination state is allocated
+// lazily per (node, op) and freed when the op's last local participant
+// finishes — memory stays O(nodes + active blocks) however large the
+// modeled message is.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "coll/buf.hpp"
@@ -50,7 +49,8 @@ struct Profile {
 
 class Transport {
  public:
-  Transport(machine::Cluster& cluster, Profile p);
+  /// @p trees: the owning backend's tree memo (outlives the Transport).
+  Transport(machine::Cluster& cluster, Profile p, TreeMemo& trees);
   ~Transport();  // out of line: NodeSt is incomplete here
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -84,7 +84,6 @@ class Transport {
   NodeOp& op_state(int node, std::uint64_t seq);
   void finish(int node, std::uint64_t seq, int nlocal);
   std::uint64_t next_seq(machine::TaskCtx& t);
-  const Tree& tree(TreeKind kind, int root_node);
 
   // Core phase runners, generalized over nb = blocks each rank handles
   // (1 for the plain ops; nranks for allgather's distribution phase and
@@ -122,9 +121,9 @@ class Transport {
 
   machine::Cluster* cluster_;
   Profile p_;
-  std::vector<std::uint64_t> seq_;                    // per-rank op sequence
-  std::vector<std::unique_ptr<NodeSt>> nodes_;        // lazily created
-  std::map<std::pair<int, int>, Tree> trees_;         // keyed (kind, root)
+  TreeMemo* trees_;
+  std::vector<std::uint64_t> seq_;              // per-rank op sequence
+  std::vector<std::unique_ptr<NodeSt>> nodes_;  // lazily created
 };
 
 }  // namespace srm::coll::sym

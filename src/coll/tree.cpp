@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <utility>
 
 namespace srm::coll {
 
@@ -288,36 +289,22 @@ Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
   return t;
 }
 
-int Embedding::height(const machine::Topology& topo) const {
-  int h = 0;
-  for (int node = 0; node < topo.nodes(); ++node) {
-    // Depth of the node in the internode tree, plus its intranode height.
-    int d = 0;
-    for (int v = node; internode.parent[static_cast<std::size_t>(v)] != -1;
-         v = internode.parent[static_cast<std::size_t>(v)]) {
-      ++d;
-    }
-    h = std::max(h, d + intranode[static_cast<std::size_t>(node)].height());
+const Tree& TreeMemo::get(int shape, int n, int root) {
+  auto key = std::make_tuple(shape, n, root);
+  auto it = trees_.find(key);
+  if (it == trees_.end()) {
+    Tree t = shape < kTopoFlat
+                 ? build_tree(static_cast<TreeKind>(shape), n, root)
+                 : topo_tree(*tp_, n, root, shape == kTopoBinomial);
+    it = trees_.emplace(key, std::move(t)).first;
   }
-  return h;
+  return it->second;
 }
 
-Embedding embed(const machine::Topology& topo, int root,
-                TreeKind internode_kind, TreeKind intranode_kind) {
-  SRM_CHECK(root >= 0 && root < topo.nranks());
-  Embedding e;
-  e.root = root;
-  int root_node = topo.node_of(root);
-  e.internode = build_tree(internode_kind, topo.nodes(), root_node);
-  e.leader.resize(static_cast<std::size_t>(topo.nodes()));
-  e.intranode.reserve(static_cast<std::size_t>(topo.nodes()));
-  for (int node = 0; node < topo.nodes(); ++node) {
-    int leader = (node == root_node) ? root : topo.master_of(node);
-    e.leader[static_cast<std::size_t>(node)] = leader;
-    e.intranode.push_back(build_tree(intranode_kind, topo.tasks_per_node(),
-                                     topo.local_of(leader)));
-  }
-  return e;
+Embedding TreeMemo::embed(int root, TreeKind internode_kind) {
+  SRM_CHECK(root >= 0 && root < topo_->nranks());
+  return Embedding{
+      root, tree(internode_kind, topo_->nodes(), topo_->node_of(root)), topo_};
 }
 
 }  // namespace srm::coll

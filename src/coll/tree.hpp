@@ -1,14 +1,18 @@
-// Communication-tree builders and the SMP cluster embedding (paper §2.1).
+// Communication-tree builders, their shared memo, and the SMP cluster
+// embedding (paper §2.1).
 //
-// Binomial ("distance power-of-two"), binary, Fibonacci, and flat trees over
-// an arbitrary vertex count and root. The Embedding assembles the paper's
-// Figure-1 structure: a binomial tree over *nodes* connecting one leader task
+// Binomial ("distance power-of-two"), binary, Fibonacci, flat and Bine trees
+// over an arbitrary vertex count and root. The Embedding assembles the
+// paper's Figure-1 structure: a tree over *nodes* connecting one leader task
 // per node, plus an intra-node tree over the local tasks of each node. If
 // every node carries p tasks, the embedding adds no height:
 // log(n*p) >= log(n) + log(p).
 #pragma once
 
+#include <cstddef>
+#include <map>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "machine/params.hpp"
@@ -74,23 +78,56 @@ Tree bine_tree(int n, int root);
 Tree topo_tree(const machine::TopologyParams& tp, int n, int root,
                bool binomial = false);
 
-/// The SMP-aware embedding of collective trees into a cluster (Fig. 1).
+/// The SMP-aware embedding of a collective into a cluster (Fig. 1): a tree
+/// over node ids whose vertices are led by one network-facing task each.
+/// The leader of the root's node is the root itself (arbitrary-root support
+/// without extra copies, §2.2); every other node is led by its master (local
+/// rank 0). Each protocol picks its own intra-node tree shape and hangs it
+/// off local_of(leader(node)).
 struct Embedding {
-  int root = 0;                ///< global root rank
-  Tree internode;              ///< over node ids, rooted at node_of(root)
-  std::vector<int> leader;     ///< per node: the network-facing rank
-  std::vector<Tree> intranode; ///< per node: tree over local ranks, rooted
-                               ///< at the leader's local rank
+  int root = 0;           ///< global root rank
+  const Tree& internode;  ///< over node ids, rooted at node_of(root)
+  const machine::Topology* topo = nullptr;
 
-  /// Total steps from root to the deepest task.
-  int height(const machine::Topology& topo) const;
+  /// The network-facing rank of @p node.
+  int leader(int node) const {
+    return node == internode.root ? root : topo->master_of(node);
+  }
 };
 
-/// Build the embedding: an @p internode_kind tree over nodes and an
-/// @p intranode_kind tree over each node's local ranks. The leader of the
-/// root's node is the root itself (arbitrary-root support without extra
-/// copies, §2.2); every other node is led by its master (local rank 0).
-Embedding embed(const machine::Topology& topo, int root,
-                TreeKind internode_kind, TreeKind intranode_kind);
+/// Memo of immutable trees keyed by (shape, n, root), where the shape is a
+/// TreeKind or a topo_tree layout. A tree follows from its key alone, so one
+/// memo serves every rank and call of a backend (each coll::Collectives owns
+/// one) and references stay valid for its lifetime. @p topo (the cluster
+/// embed() spans) and @p tp (the node topology of topo()) must outlive it.
+class TreeMemo {
+ public:
+  TreeMemo(const machine::Topology& topo, const machine::TopologyParams& tp)
+      : topo_(&topo), tp_(&tp) {}
+
+  /// build_tree(kind, n, root).
+  const Tree& tree(TreeKind kind, int n, int root) {
+    return get(static_cast<int>(kind), n, root);
+  }
+  /// topo_tree(tp, n, root, binomial).
+  const Tree& topo(int n, int root, bool binomial = false) {
+    return get(binomial ? kTopoBinomial : kTopoFlat, n, root);
+  }
+  /// The embedding of a collective rooted at rank @p root: an
+  /// @p internode_kind tree over the cluster's nodes.
+  Embedding embed(int root, TreeKind internode_kind);
+
+  /// Trees built so far.
+  std::size_t size() const noexcept { return trees_.size(); }
+
+ private:
+  static constexpr int kTopoFlat = static_cast<int>(TreeKind::bine) + 1;
+  static constexpr int kTopoBinomial = kTopoFlat + 1;
+  const Tree& get(int shape, int n, int root);
+
+  const machine::Topology* topo_;
+  const machine::TopologyParams* tp_;
+  std::map<std::tuple<int, int, int>, Tree> trees_;  // (shape, n, root)
+};
 
 }  // namespace srm::coll

@@ -28,15 +28,13 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
   RankState& rs = rank_state(t);
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree =
-      coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
+  const coll::Tree& itree = trees().tree(cfg_.intranode_tree, t.nlocal(), 0);
   std::size_t nchunks = 1;  // fits one reduce chunk (feasible_max)
   SRM_CHECK(bytes <= cfg_.reduce_chunk);
 
   if (!t.is_master()) {
     co_await smp_reduce_participant(t, itree, send, count, d, op);
-    finish_reduce_bookkeeping(t, itree, nchunks, /*mapped=*/false, &emb);
+    finish_reduce_bookkeeping(t, itree, nchunks, /*mapped=*/false, nullptr);
     // Wait for the master to publish the global result (fill mode: the
     // master copies its recv buffer into the shared broadcast buffer).
     co_await smp_bcast_chunk(t, 0, nullptr, recv, bytes, nullptr);
@@ -45,7 +43,7 @@ sim::CoTask Communicator::allreduce_rd(machine::TaskCtx& t, const void* send,
 
   // Master: node-local combine straight into the receive buffer.
   co_await smp_reduce_chunk_leader(t, itree, send, recv, 0, 0, count, d, op);
-  finish_reduce_bookkeeping(t, itree, nchunks, /*mapped=*/false, &emb);
+  finish_reduce_bookkeeping(t, itree, nchunks, /*mapped=*/false, nullptr);
 
   lapi::Endpoint& my_ep = ep(t.rank);
   int n = t.nnodes();
@@ -136,7 +134,8 @@ sim::CoTask Communicator::allreduce_pipelined(machine::TaskCtx& t,
   // task; at rank 0 the broadcast consumes chunks as the reduce completes
   // them (Fig. 5's four-stage pipeline).
   std::size_t bytes = count * coll::dtype_size(d);
-  coll::Embedding emb = allreduce_embedding(t, bytes);
+  coll::Embedding emb =
+      trees().embed(0, decide(coll::CollKind::allreduce, bytes).internode);
 
   lapi::Counter chunk_done(*t.eng, "ar.chunk_done@" + std::to_string(t.rank));
   lapi::Counter* gate = t.rank == 0 ? &chunk_done : nullptr;

@@ -34,7 +34,7 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
   int my_node = t.node();
-  int leader = emb.leader[static_cast<std::size_t>(my_node)];
+  int leader = emb.leader(my_node);
   int leader_local = t.topo->local_of(leader);
   int parent = emb.internode.parent[static_cast<std::size_t>(my_node)];
   bool is_root_node = parent == -1;
@@ -116,7 +116,7 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
       // Forwards from a landing buffer need no origin tracking: the buffer
       // cannot be overwritten before this put leaves (the parent's next put
       // is gated on a credit that follows it through the same NIC FIFO).
-      co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(child)]),
+      co_await my_ep.put(ep(emb.leader(child)),
                          landing(child, my_node, kBcLand, out_slot), data, len,
                          &link(child, my_node).bc_arrived[out_slot],
                          is_root_node ? &org : nullptr);
@@ -139,9 +139,8 @@ sim::CoTask Communicator::bcast_small(machine::TaskCtx& t, void* buf,
         if (l == leader_local) continue;
         co_await (*ns.bc_ready[flag_slot])[l].await_value(0, &t.chk);
       }
-      co_await my_ep.put_signal(
-          ep(emb.leader[static_cast<std::size_t>(parent)]),
-          link(parent, my_node).bc_free[in_slot]);
+      co_await my_ep.put_signal(ep(emb.leader(parent)),
+                                link(parent, my_node).bc_free[in_slot]);
     }
   }
   if (is_root_node && mapped) {
@@ -163,7 +162,7 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
   obs::Span span(*t.obs, t.rank, "bcast.large");
   chk::StageScope stage(t.chk, "bcast.large");
   int my_node = t.node();
-  int leader = emb.leader[static_cast<std::size_t>(my_node)];
+  int leader = emb.leader(my_node);
   int leader_local = t.topo->local_of(leader);
   int parent = emb.internode.parent[static_cast<std::size_t>(my_node)];
   std::size_t nchunks = detail::chunk_count(bytes, chunk);
@@ -194,8 +193,7 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
   // Stage 1 (initialization): leaves announce their user-buffer address to
   // the parent with a small put.
   if (parent != -1) {
-    co_await announce_addr(t, &Link::bc_addr, parent,
-                           emb.leader[static_cast<std::size_t>(parent)], buf,
+    co_await announce_addr(t, &Link::bc_addr, parent, emb.leader(parent), buf,
                            &org, org_pending);
   }
 
@@ -215,10 +213,9 @@ sim::CoTask Communicator::bcast_large(machine::TaskCtx& t, void* buf,
     for (std::size_t k = 0; k < kids.size(); ++k) {
       int child = kids[k];
       if (c == 0) co_await await_addr(t, &Link::bc_addr, child, child_addr[k]);
-      co_await my_ep.put(
-          ep(emb.leader[static_cast<std::size_t>(child)]), child_addr[k] + off,
-          static_cast<const std::byte*>(buf) + off, len,
-          &link(child, my_node).bc_large_arrived, &org);
+      co_await my_ep.put(ep(emb.leader(child)), child_addr[k] + off,
+                         static_cast<const std::byte*>(buf) + off, len,
+                         &link(child, my_node).bc_large_arrived, &org);
       ++org_pending;
     }
     // Stages 3/4: SMP broadcast of the arrived chunk, pipelined through the

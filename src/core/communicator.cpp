@@ -301,10 +301,9 @@ sim::CoTask Communicator::v_bcast(machine::TaskCtx& t, coll::Buf buf,
   rank_state(t).op_seq++;
   std::size_t bytes = buf.block_bytes();
   coll::Decision dec = decide(coll::CollKind::bcast, bytes);
-  coll::Embedding emb =
-      coll::embed(*t.topo, root, dec.internode, cfg_.intranode_tree);
+  coll::Embedding emb = trees().embed(root, dec.internode);
   bool small = dec.algo == coll::Algo::staged;
-  bool leader = emb.leader[static_cast<std::size_t>(t.node())] == t.rank;
+  bool leader = emb.leader(t.node()) == t.rank;
   bool manage = cfg_.manage_interrupts && small && leader && t.nnodes() > 1;
   if (manage) ep(t.rank).set_interrupts(false);
   switch (dec.algo) {

@@ -27,9 +27,9 @@
 // credits, address cells — lives in one Link record per (node, peer) pair,
 // built when a protocol first touches that link (link(), landing()).
 //
-// Every operation embeds its communication tree with coll::embed (Fig. 1),
-// so at most one task per node (the "leader": the root on the root's node,
-// the master elsewhere) touches the network.
+// Every operation reads its trees from the base's shared coll::TreeMemo and
+// embeds them (Fig. 1) so at most one task per node (the "leader": the root
+// on the root's node, the master elsewhere) touches the network.
 #pragma once
 
 #include <array>
@@ -414,15 +414,6 @@ class Communicator final : public coll::Collectives {
     return cfg_.single_copy && decide(op, op_bytes).mapped;
   }
 
-  /// Embedding of the rootless allreduce algorithms: the node masters lead
-  /// (root 0) over the inter-node tree of the allreduce row for @p bytes.
-  coll::Embedding allreduce_embedding(const machine::TaskCtx& t,
-                                      std::size_t bytes) const {
-    return coll::embed(*t.topo, 0,
-                       decide(coll::CollKind::allreduce, bytes).internode,
-                       cfg_.intranode_tree);
-  }
-
   /// Mapped SMP broadcast: the leader exports [src, src+len) and the
   /// topology tree (coll::topo_tree) cascades direct copies — each vertex
   /// attaches to its parent's window, pulls into its own @p dst at the
@@ -506,15 +497,13 @@ class Communicator final : public coll::Collectives {
   /// @p seq is the cumulative chunk sequence on the me->dst_node link
   /// (landing-slot parity), advanced per chunk; @p org_inflight counts the
   /// zoo_org bumps the caller must drain.
-  sim::CoTask zoo_stream_to(machine::TaskCtx& t, const coll::Embedding& emb,
-                            int dst_node, const std::byte* src,
-                            std::size_t bytes, std::uint64_t& seq,
-                            std::uint64_t& org_inflight);
+  sim::CoTask zoo_stream_to(machine::TaskCtx& t, int dst_node,
+                            const std::byte* src, std::size_t bytes,
+                            std::uint64_t& seq, std::uint64_t& org_inflight);
   /// Receive @p bytes streamed by @p src_node's zoo_stream_to, combining
   /// each landed chunk into @p dst with @p op and returning the slot credit.
   /// @p seq is the cumulative chunk sequence on the src_node->me link.
-  sim::CoTask zoo_recv_combine(machine::TaskCtx& t,
-                               const coll::Embedding& emb, int src_node,
+  sim::CoTask zoo_recv_combine(machine::TaskCtx& t, int src_node,
                                std::byte* dst, std::size_t bytes,
                                coll::Dtype d, coll::RedOp op,
                                std::uint64_t& seq);

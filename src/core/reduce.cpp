@@ -23,20 +23,18 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
   chk::StageScope stage(t.chk, "reduce.pipeline");
   std::size_t esize = coll::dtype_size(d);
   coll::Decision dec = decide(coll::CollKind::reduce, count * esize);
-  coll::Embedding emb =
-      coll::embed(*t.topo, root, dec.internode, cfg_.intranode_tree);
+  coll::Embedding emb = trees().embed(root, dec.internode);
   NodeState& ns = node_state(t);
   int my_node = t.node();
-  int leader = emb.leader[static_cast<std::size_t>(my_node)];
+  int leader = emb.leader(my_node);
   // Single-copy path: leaves of the topology tree export their send buffers
   // as windows and the interior combines straight out of them — no staging
   // copies at all, and every cache-domain boundary crossed exactly once.
   bool mapped = mapped_on(coll::CollKind::reduce, count * esize);
-  coll::Tree itree =
-      mapped ? coll::topo_tree(t.P->topo, t.nlocal(), t.topo->local_of(leader),
-                               /*binomial=*/true)
-             : coll::build_tree(cfg_.intranode_tree, t.nlocal(),
-                                t.topo->local_of(leader));
+  int leader_local = t.topo->local_of(leader);
+  const coll::Tree& itree =
+      mapped ? trees().topo(t.nlocal(), leader_local, /*binomial=*/true)
+             : trees().tree(cfg_.intranode_tree, t.nlocal(), leader_local);
 
   std::size_t chunk_elems = cfg_.reduce_chunk / esize;
   std::size_t nchunks = detail::chunk_count(count, chunk_elems);
@@ -91,7 +89,7 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
       chk::note_write(t.chk, dst, elems * esize);
       coll::combine(op, d, dst, land, elems);
       // Return the landing-slot credit to the child.
-      co_await my_ep.put_signal(ep(emb.leader[ci]), *nodes_[ci]->red_free);
+      co_await my_ep.put_signal(ep(emb.leader(child)), *nodes_[ci]->red_free);
     }
 
     if (is_root_node) {
@@ -101,7 +99,7 @@ sim::CoTask Communicator::reduce_impl(machine::TaskCtx& t, const void* send,
       // the per-link sequence, and let the origin counter guard our slot.
       co_await my_ep.wait_cntr(*ns.red_free, 1);
       std::size_t lslot = (link_seq(t, parent).red_sent + c) % 2;
-      co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(parent)]),
+      co_await my_ep.put(ep(emb.leader(parent)),
                          landing(parent, my_node, kRedLand, lslot), dst,
                          elems * esize, &link(parent, my_node).red_arrived,
                          ns.red_out_org.get());

@@ -50,7 +50,7 @@ sim::CoTask Communicator::smp_bcast_mapped(machine::TaskCtx& t,
   NodeState& ns = node_state(t);
   RankState& rs = rank_state(t);
   if (ns.nlocal == 1) co_return;  // nothing to fan out
-  coll::Tree tree = coll::topo_tree(t.P->topo, ns.nlocal, leader_local);
+  const coll::Tree& tree = trees().topo(ns.nlocal, leader_local);
   int me = t.local();
   const auto& kids = tree.children[static_cast<std::size_t>(me)];
 

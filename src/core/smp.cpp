@@ -26,8 +26,8 @@ sim::CoTask Communicator::smp_bcast_chunk_tree(machine::TaskCtx& t,
   rs.smp_bc_seq++;
   shm::FlagArray& ready = *ns.bc_ready[slot];
   std::byte* sbuf = ns.bc_buf[slot].data();
-  coll::Tree tree =
-      coll::binomial_tree(ns.nlocal, leader_local);
+  const coll::Tree& tree =
+      trees().tree(coll::TreeKind::binomial, ns.nlocal, leader_local);
 
   if (t.local() == leader_local) {
     for (int l = 0; l < ns.nlocal; ++l) {

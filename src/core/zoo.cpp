@@ -63,9 +63,8 @@ sim::CoTask Communicator::zoo_node_reduce(machine::TaskCtx& t,
   finish_reduce_bookkeeping(t, tree, nchunks, /*mapped=*/false, nullptr);
 }
 
-sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t,
-                                        const coll::Embedding& emb,
-                                        int dst_node, const std::byte* src,
+sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t, int dst_node,
+                                        const std::byte* src,
                                         std::size_t bytes, std::uint64_t& seq,
                                         std::uint64_t& org_inflight) {
   if (bytes == 0) co_return;
@@ -74,7 +73,7 @@ sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t,
   int me = t.node();
   Link& out = link(me, dst_node);
   Link& in = link(dst_node, me);
-  int dst_leader = emb.leader[static_cast<std::size_t>(dst_node)];
+  int dst_leader = t.topo->master_of(dst_node);
   std::size_t nchunks = nz_chunks(bytes, cfg_.reduce_chunk);
   for (std::size_t c = 0; c < nchunks; ++c) {
     std::size_t off = c * cfg_.reduce_chunk;
@@ -90,7 +89,6 @@ sim::CoTask Communicator::zoo_stream_to(machine::TaskCtx& t,
 }
 
 sim::CoTask Communicator::zoo_recv_combine(machine::TaskCtx& t,
-                                           const coll::Embedding& emb,
                                            int src_node, std::byte* dst,
                                            std::size_t bytes, coll::Dtype d,
                                            coll::RedOp op,
@@ -100,7 +98,7 @@ sim::CoTask Communicator::zoo_recv_combine(machine::TaskCtx& t,
   int me = t.node();
   Link& in = link(me, src_node);
   Link& out = link(src_node, me);
-  int src_leader = emb.leader[static_cast<std::size_t>(src_node)];
+  int src_leader = t.topo->master_of(src_node);
   std::size_t esize = coll::dtype_size(d);
   std::size_t nchunks = nz_chunks(bytes, cfg_.reduce_chunk);
   for (std::size_t c = 0; c < nchunks; ++c) {
@@ -126,8 +124,7 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
   chk::StageScope stage(t.chk, "allreduce.ring");
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree = coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
+  const coll::Tree& itree = trees().tree(cfg_.intranode_tree, t.nlocal(), 0);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);
 
@@ -167,11 +164,11 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
       int sb = (v - s + n) % n;      // block we forward
       int rb = (v - s - 1 + n) % n;  // block we combine
       auto snd = detail::spawn_joined(
-          *t.eng, zoo_stream_to(t, emb, succ, base + blo(sb) * esize,
-                                blen(sb), sent_seq, org_inflight));
+          *t.eng, zoo_stream_to(t, succ, base + blo(sb) * esize, blen(sb),
+                                sent_seq, org_inflight));
       auto rcv = detail::spawn_joined(
-          *t.eng, zoo_recv_combine(t, emb, pred, base + blo(rb) * esize,
-                                   blen(rb), d, op, recv_seq));
+          *t.eng, zoo_recv_combine(t, pred, base + blo(rb) * esize, blen(rb),
+                                   d, op, recv_seq));
       co_await snd->wait();
       co_await rcv->wait();
     }
@@ -191,9 +188,8 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
       if (blen((v - s + n) % n) > 0) incoming = true;
     }
     if (incoming) {
-      co_await announce_addr(t, &Link::zoo_addr, pred,
-                             emb.leader[static_cast<std::size_t>(pred)], recv,
-                             ns.zoo_org.get(), org_inflight);
+      co_await announce_addr(t, &Link::zoo_addr, pred, t.topo->master_of(pred),
+                             recv, ns.zoo_org.get(), org_inflight);
     }
 
     std::byte* succ_addr = nullptr;
@@ -204,7 +200,7 @@ sim::CoTask Communicator::ring_allreduce(machine::TaskCtx& t,
         if (succ_addr == nullptr) {
           co_await await_addr(t, &Link::zoo_addr, succ, succ_addr);
         }
-        co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(succ)]),
+        co_await my_ep.put(ep(t.topo->master_of(succ)),
                            succ_addr + blo(sb) * esize, base + blo(sb) * esize,
                            blen(sb), &link(succ, v).zoo_got,
                            ns.zoo_org.get());
@@ -242,8 +238,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
   chk::StageScope stage(t.chk, "allreduce.rhalving");
   std::size_t esize = coll::dtype_size(d);
   std::size_t bytes = count * esize;
-  coll::Embedding emb = allreduce_embedding(t, bytes);
-  coll::Tree itree = coll::build_tree(cfg_.intranode_tree, t.nlocal(), 0);
+  const coll::Tree& itree = trees().tree(cfg_.intranode_tree, t.nlocal(), 0);
 
   co_await zoo_node_reduce(t, itree, send, recv, count, d, op);
 
@@ -269,9 +264,8 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
     // peer may not put until we re-advertised (i.e. finished reusing) the
     // target memory.
     auto announce = [&](int peer, void* addr) {
-      return announce_addr(t, &Link::zoo_addr, peer,
-                           emb.leader[static_cast<std::size_t>(peer)], addr,
-                           ns.zoo_org.get(), org_inflight);
+      return announce_addr(t, &Link::zoo_addr, peer, t.topo->master_of(peer),
+                           addr, ns.zoo_org.get(), org_inflight);
     };
     // Put [src, src+len) at offset @p off of the buffer @p peer last
     // advertised, once the advertisement arrived.
@@ -279,7 +273,7 @@ sim::CoTask Communicator::rhalving_allreduce(machine::TaskCtx& t,
                           std::size_t len) -> sim::CoTask {
       std::byte* dst = nullptr;
       co_await await_addr(t, &Link::zoo_addr, peer, dst);
-      co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(peer)]),
+      co_await my_ep.put(ep(t.topo->master_of(peer)),
                          dst + off, src, len, &link(peer, v).zoo_got,
                          ns.zoo_org.get());
       ++org_inflight;
@@ -409,7 +403,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
   chk::StageScope stage(t.chk, "bcast.scatter_ag");
   int n = t.nnodes();
   int v = t.node();
-  int leader = emb.leader[static_cast<std::size_t>(v)];
+  int leader = emb.leader(v);
   int leader_local = t.topo->local_of(leader);
   auto* base = static_cast<std::byte*>(buf);
 
@@ -418,10 +412,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     co_return;
   }
 
-  int root_node = 0;
-  for (int i = 0; i < n; ++i) {
-    if (emb.internode.parent[static_cast<std::size_t>(i)] == -1) root_node = i;
-  }
+  int root_node = emb.internode.root;
   int succ = (v + 1) % n;
   int pred = (v + n - 1) % n;
   std::size_t rblk =
@@ -460,7 +451,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
     if (succ_addr == nullptr) {
       co_await await_addr(t, &Link::zoo_addr, succ, succ_addr);
     }
-    co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(succ)]),
+    co_await my_ep.put(ep(emb.leader(succ)),
                        succ_addr + blo(b), base + blo(b), blen(b),
                        &link(succ, v).zoo_got, ns.zoo_org.get());
     ++org_inflight;
@@ -474,7 +465,7 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
       if (i == root_node || blen(i) == 0) continue;
       std::byte* dst = nullptr;
       co_await await_addr(t, &Link::zoo_addr, i, dst);
-      co_await my_ep.put(ep(emb.leader[static_cast<std::size_t>(i)]),
+      co_await my_ep.put(ep(emb.leader(i)),
                          dst + blo(i), base + blo(i), blen(i),
                          &link(i, v).zoo_arr, ns.zoo_org.get());
       ++org_inflight;
@@ -498,14 +489,13 @@ sim::CoTask Communicator::bcast_scatter_ag(machine::TaskCtx& t, void* buf,
       if (b != v && blen(b) > 0) incoming = true;
     }
     if (incoming) {
-      co_await announce_addr(t, &Link::zoo_addr, pred,
-                             emb.leader[static_cast<std::size_t>(pred)], buf,
+      co_await announce_addr(t, &Link::zoo_addr, pred, emb.leader(pred), buf,
                              ns.zoo_org.get(), org_inflight);
     }
     if (blen(v) > 0) {
       co_await announce_addr(t, &Link::zoo_addr, root_node,
-                             emb.leader[static_cast<std::size_t>(root_node)],
-                             buf, ns.zoo_org.get(), org_inflight);
+                             emb.leader(root_node), buf, ns.zoo_org.get(),
+                             org_inflight);
     }
 
     // Step 0: wait for the scatter block, forward it, publish it.

@@ -292,7 +292,8 @@ sim::CoTask Comm::sendrecv(int dst, int stag, const void* sbuf,
 
 sim::CoTask Comm::bcast(void* buf, std::size_t bytes, int root) {
   int tag = kCollTagBase + static_cast<int>(coll_seq_++ & 0xffff);
-  coll::Tree tree = coll::binomial_tree(nranks(), root);
+  const coll::Tree& tree =
+      world_->trees().tree(coll::TreeKind::binomial, nranks(), root);
   int me = rank();
   int parent = tree.parent[static_cast<std::size_t>(me)];
   if (parent != -1) {
@@ -310,7 +311,8 @@ sim::CoTask Comm::reduce(const void* send_buf, void* recv_buf,
                          int root) {
   int tag = kCollTagBase + static_cast<int>(coll_seq_++ & 0xffff);
   std::size_t bytes = count * coll::dtype_size(d);
-  coll::Tree tree = coll::binomial_tree(nranks(), root);
+  const coll::Tree& tree =
+      world_->trees().tree(coll::TreeKind::binomial, nranks(), root);
   int me = rank();
 
   // Accumulator: the recv buffer at the root, a temporary elsewhere.
@@ -406,7 +408,8 @@ sim::CoTask Comm::barrier() {
   // zero-byte binomial release (the dissemination/recursive-doubling
   // barrier only reached mainstream MPI implementations with MPICH2).
   int tag = kCollTagBase + static_cast<int>(coll_seq_++ & 0xffff);
-  coll::Tree tree = coll::binomial_tree(nranks(), 0);
+  const coll::Tree& tree =
+      world_->trees().tree(coll::TreeKind::binomial, nranks(), 0);
   int me = rank();
   int parent = tree.parent[static_cast<std::size_t>(me)];
   const auto& kids = tree.children[static_cast<std::size_t>(me)];

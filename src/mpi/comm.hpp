@@ -139,7 +139,8 @@ class Comm {
 /// (per-call + layering software overhead per message) and the default
 /// binomial Decision, so benches drive SRM and MPI through the same
 /// virtual calls in either mode. Comms materialize on first use — symbolic
-/// runs never build the per-rank point-to-point machinery.
+/// runs never build the per-rank point-to-point machinery — and read their
+/// collective trees from the World's shared coll::TreeMemo.
 class World final : public coll::Collectives {
  public:
   World(machine::Cluster& cluster, const machine::MpiParams& profile,

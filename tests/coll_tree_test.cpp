@@ -2,6 +2,7 @@
 // over sizes and roots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "coll/ops.hpp"
@@ -141,45 +142,77 @@ TEST(TreeKindNames, RoundTrip) {
   EXPECT_FALSE(tree_kind_from_name("nope", out));
 }
 
+// Height of the Fig. 1 embedding: the deepest node's depth in the internode
+// tree plus the height of its @p intra tree, rooted at the node leader.
+int embedding_height(TreeMemo& memo, const Embedding& e, const Topology& topo,
+                     TreeKind intra) {
+  int h = 0;
+  for (int node = 0; node < topo.nodes(); ++node) {
+    int d = 0;
+    for (int v = node; e.internode.parent[static_cast<std::size_t>(v)] != -1;
+         v = e.internode.parent[static_cast<std::size_t>(v)]) {
+      ++d;
+    }
+    const Tree& it = memo.tree(intra, topo.tasks_per_node(),
+                               topo.local_of(e.leader(node)));
+    h = std::max(h, d + it.height());
+  }
+  return h;
+}
+
 TEST(Embedding, PaperFigureOneShape) {
   // 8 nodes x 16 tasks (the paper's Figure 1, 128 processors).
   Topology topo(8, 16);
-  Embedding e = embed(topo, 0, TreeKind::binomial, TreeKind::binomial);
+  machine::TopologyParams tp;
+  TreeMemo memo(topo, tp);
+  Embedding e = memo.embed(0, TreeKind::binomial);
   e.internode.validate();
-  for (const auto& t : e.intranode) t.validate();
+  for (int node = 0; node < topo.nodes(); ++node) {
+    const Tree& it =
+        memo.tree(TreeKind::binomial, 16, topo.local_of(e.leader(node)));
+    it.validate();
+    EXPECT_EQ(it.height(), 4);
+  }
   // Embedding adds no height: log2(128) = 7 = log2(8) + log2(16).
-  EXPECT_EQ(e.height(topo), 7);
+  EXPECT_EQ(embedding_height(memo, e, topo, TreeKind::binomial), 7);
   EXPECT_EQ(e.internode.height(), 3);
-  for (const auto& t : e.intranode) EXPECT_EQ(t.height(), 4);
 }
 
 TEST(Embedding, LeadersAreMastersExceptRootNode) {
   Topology topo(4, 16);
-  Embedding e = embed(topo, 37, TreeKind::binomial, TreeKind::binomial);
-  EXPECT_EQ(e.leader[0], 0);
-  EXPECT_EQ(e.leader[1], 16);
-  EXPECT_EQ(e.leader[2], 37);  // root 37 lives on node 2 and leads it
-  EXPECT_EQ(e.leader[3], 48);
+  machine::TopologyParams tp;
+  TreeMemo memo(topo, tp);
+  Embedding e = memo.embed(37, TreeKind::binomial);
+  EXPECT_EQ(e.leader(0), 0);
+  EXPECT_EQ(e.leader(1), 16);
+  EXPECT_EQ(e.leader(2), 37);  // root 37 lives on node 2 and leads it
+  EXPECT_EQ(e.leader(3), 48);
   // Intranode tree on node 2 is rooted at the root's local rank.
-  EXPECT_EQ(e.intranode[2].root, 5);
+  EXPECT_EQ(memo.tree(TreeKind::binomial, 16, topo.local_of(e.leader(2))).root,
+            5);
 }
 
 TEST(Embedding, FifteenOfSixteenStillOptimal) {
   // The paper's "leave one CPU for daemons" configuration: 15 tasks/node.
   Topology topo(8, 15);
-  Embedding e = embed(topo, 0, TreeKind::binomial, TreeKind::binomial);
+  machine::TopologyParams tp;
+  TreeMemo memo(topo, tp);
+  Embedding e = memo.embed(0, TreeKind::binomial);
   // Embedding height log2(8) + floor(log2(15)) = 6 does not exceed the flat
   // binomial tree's ceil bound for 120 ranks (the paper's optimality claim).
-  EXPECT_EQ(e.height(topo), 6);
-  EXPECT_LE(e.height(topo), util::log2_ceil(120u));
+  int h = embedding_height(memo, e, topo, TreeKind::binomial);
+  EXPECT_EQ(h, 6);
+  EXPECT_LE(h, util::log2_ceil(120u));
 }
 
 TEST(Embedding, SingleNodeDegeneratesToIntranodeTree) {
   Topology topo(1, 16);
-  Embedding e = embed(topo, 3, TreeKind::binomial, TreeKind::binomial);
+  machine::TopologyParams tp;
+  TreeMemo memo(topo, tp);
+  Embedding e = memo.embed(3, TreeKind::binomial);
   EXPECT_EQ(e.internode.n, 1);
-  EXPECT_EQ(e.height(topo), 4);
-  EXPECT_EQ(e.leader[0], 3);
+  EXPECT_EQ(embedding_height(memo, e, topo, TreeKind::binomial), 4);
+  EXPECT_EQ(e.leader(0), 3);
 }
 
 TEST(Ops, CombineSumDoubles) {
@@ -297,6 +330,53 @@ TEST(TopoTree, TruncatedNodeStaysSpanning) {
       EXPECT_EQ(t.subtree_size(0), n);
     }
   }
+}
+
+void expect_same_shape(const Tree& got, const Tree& want) {
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_EQ(got.root, want.root);
+  EXPECT_EQ(got.parent, want.parent);
+  EXPECT_EQ(got.children, want.children);
+}
+
+TEST(TreeMemo, SameKeyReturnsSameTreeAsTheBuilders) {
+  Topology topo(4, 16);
+  machine::TopologyParams tp = two_socket();
+  TreeMemo memo(topo, tp);
+  std::size_t keys = 0;
+  for (TreeKind k : {TreeKind::binomial, TreeKind::binary, TreeKind::fibonacci,
+                     TreeKind::flat, TreeKind::bine}) {
+    const Tree& a = memo.tree(k, 13, 5);
+    EXPECT_EQ(&a, &memo.tree(k, 13, 5)) << tree_kind_name(k);
+    expect_same_shape(a, build_tree(k, 13, 5));
+    // Another root or size is another key.
+    EXPECT_NE(&a, &memo.tree(k, 13, 6));
+    EXPECT_NE(&a, &memo.tree(k, 12, 5));
+    keys += 3;
+  }
+  for (bool binomial : {false, true}) {
+    const Tree& a = memo.topo(16, 6, binomial);
+    EXPECT_EQ(&a, &memo.topo(16, 6, binomial));
+    expect_same_shape(a, topo_tree(tp, 16, 6, binomial));
+    ++keys;
+  }
+  // The flat and binomial topo layouts never alias the plain kinds.
+  EXPECT_NE(&memo.topo(13, 5), &memo.tree(TreeKind::flat, 13, 5));
+  ++keys;
+  EXPECT_EQ(memo.size(), keys);
+}
+
+TEST(TreeMemo, EmbeddingsShareTheInternodeTree) {
+  Topology topo(4, 16);
+  machine::TopologyParams tp;
+  TreeMemo memo(topo, tp);
+  // Every root on node 2 embeds the one binomial tree rooted at node 2.
+  const Tree& t2 = memo.tree(TreeKind::binomial, 4, 2);
+  for (int root = 32; root < 48; ++root) {
+    EXPECT_EQ(&memo.embed(root, TreeKind::binomial).internode, &t2);
+  }
+  EXPECT_NE(&memo.embed(37, TreeKind::flat).internode, &t2);
+  EXPECT_EQ(memo.size(), 2u);
 }
 
 }  // namespace

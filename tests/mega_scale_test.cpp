@@ -1,8 +1,15 @@
-// Mega-scale ceiling: a 4096-node x 64-way cluster (262,144 ranks) runs
-// symbolic bcast and allreduce end to end. The point of the symbolic plane
-// is that memory stays O(active digests), not O(ranks x message size): a
-// 1 MiB broadcast to 256K ranks would need 256 GiB of real payload buffers;
-// here the whole process must stay under 2 GiB peak RSS.
+// Mega-scale ceilings.
+//
+// Real plane at 256 nodes x 16 tasks (4096 ranks), both backends: small
+// collectives read the backend's shared trees, so once a warm-up barrier
+// has built the per-node state they add little memory, and the whole
+// sequence builds a handful of trees rather than one per rank per call.
+//
+// Symbolic plane at 4096 nodes x 64 tasks (262,144 ranks): bcast and
+// allreduce end to end. The point of the symbolic plane is that memory
+// stays O(active digests), not O(ranks x message size): a 1 MiB broadcast
+// to 256K ranks would need 256 GiB of real payload buffers; here the whole
+// process must stay under 2 GiB peak RSS.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -45,6 +52,97 @@ std::uint64_t peak_rss_bytes() {
   }
   std::fclose(f);
   return kb * 1024;
+}
+
+constexpr int kRealNodes = 256;
+constexpr int kRealPpn = 16;
+// Peak-RSS growth a small real-plane phase may add. ASan parks freed
+// blocks in its quarantine (256 MiB by default) instead of reusing them, so
+// under ASan a phase's peak also holds up to that much of what it freed:
+// mini-MPI's 1-double allreduce at 4096 ranks frees ~130 MiB of message
+// envelopes and event-queue buckets, and its peak grows by 190 MiB under
+// ASan against 35 MiB with the quarantine off.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::uint64_t kRealRssGrowth = std::uint64_t{128 + 256} << 20;
+#else
+constexpr std::uint64_t kRealRssGrowth = std::uint64_t{128} << 20;
+#endif
+// Trees a backend may hold after the sequence: one per distinct
+// (shape, vertex count, root) its calls walk.
+constexpr std::size_t kRealMaxTrees = 4;
+
+// Peak-RSS growth of the two phases of small_real_sequence.
+struct RealGrowth {
+  std::uint64_t warmup;    // warm-up barrier, over construction
+  std::uint64_t sequence;  // bcast + allreduce + barrier, over the warm-up
+};
+
+// Warm-up barrier, then an 8 B bcast from a root off node 0 and off its
+// node's master, a 1-double allreduce and a barrier on @p c, checking every
+// output. VmHWM is process-wide, so a phase's growth is only visible when
+// nothing earlier in the process peaked higher: ctest runs every test in a
+// process of its own, and in a whole-binary run the mini-MPI test (the
+// smaller footprint) comes first.
+RealGrowth small_real_sequence(Cluster& cluster, coll::Collectives& c) {
+  std::uint64_t base = peak_rss_bytes();
+  EXPECT_GT(base, 0u) << "/proc/self/status not readable";
+  cluster.run([&](TaskCtx& t) -> CoTask { co_await c.barrier(t); });
+  std::uint64_t warm = peak_rss_bytes();
+
+  constexpr int kRoot = 37 * kRealPpn + 5;
+  constexpr std::uint64_t kWord = 0x0123456789abcdefull;
+  int bad = 0;
+  cluster.run([&](TaskCtx& t) -> CoTask {
+    std::uint64_t word = t.rank == kRoot ? kWord : 0;
+    co_await c.bcast(t, Buf::bytes(&word, sizeof word), kRoot);
+    if (word != kWord) ++bad;
+
+    double in = t.rank + 1.0;
+    double sum = 0.0;
+    co_await c.allreduce(t, coll::of(&in, 1), coll::of(&sum, 1),
+                         coll::RedOp::sum);
+    double n = t.nranks();
+    if (sum != n * (n + 1) / 2) ++bad;
+
+    co_await c.barrier(t);
+  });
+  EXPECT_EQ(bad, 0) << c.label() << ": wrong bcast or allreduce outputs";
+  return {warm - base, peak_rss_bytes() - warm};
+}
+
+ClusterConfig real_shape() {
+  ClusterConfig c;
+  c.nodes = kRealNodes;
+  c.tasks_per_node = kRealPpn;
+  return c;
+}
+
+TEST(MegaScale, MpiRealSmallOpsShareTrees) {
+  Cluster cluster(real_shape());
+  minimpi::World world(cluster, cluster.params().mpi_ibm, "ibm");
+  RealGrowth g = small_real_sequence(cluster, world);
+  // mini-MPI state is a Comm per rank: the warm-up barrier is itself one
+  // of the small collectives under test.
+  EXPECT_LT(g.warmup, kRealRssGrowth)
+      << "the warm-up barrier grew peak RSS by " << (g.warmup >> 20)
+      << " MiB";
+  EXPECT_LT(g.sequence, kRealRssGrowth)
+      << "bcast+allreduce+barrier grew peak RSS by " << (g.sequence >> 20)
+      << " MiB over the warm-up";
+  EXPECT_LE(world.trees().size(), kRealMaxTrees);
+}
+
+TEST(MegaScale, SrmRealSmallOpsShareTrees) {
+  Cluster cluster(real_shape());
+  lapi::Fabric fabric(cluster);
+  Communicator comm(cluster, fabric);
+  // The warm-up barrier builds the per-node shared buffers (~1.2 MiB per
+  // node), so only the sequence after it is bounded.
+  RealGrowth g = small_real_sequence(cluster, comm);
+  EXPECT_LT(g.sequence, kRealRssGrowth)
+      << "bcast+allreduce+barrier grew peak RSS by " << (g.sequence >> 20)
+      << " MiB over the warm-up";
+  EXPECT_LE(comm.trees().size(), kRealMaxTrees);
 }
 
 ClusterConfig mega_shape() {

@@ -534,9 +534,7 @@ TEST(SrmLinks, LandingPairsOnlyOnTreeEdges) {
       [&](TaskCtx& t) -> CoTask { co_await bare.comm.barrier(t); });
 
   auto parents = [&](coll::CollKind op) {
-    return coll::embed(f.cluster.topology(), 0,
-                       f.comm.decide(op, kCount * 8).internode,
-                       f.comm.config().intranode_tree)
+    return f.comm.trees().embed(0, f.comm.decide(op, kCount * 8).internode)
         .internode.parent;
   };
   const std::vector<int> bc_parent = parents(coll::CollKind::bcast);
